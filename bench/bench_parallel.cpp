@@ -7,25 +7,7 @@
 // runs and for runs bounded by a deterministic --work-budget (the budgeted
 // sweep uses half the unbudgeted work, so the budget genuinely binds).
 //
-// A second sweep benchmarks the shared concurrent BddManager against
-// per-task private managers on the engine's rung-2 access pattern (many
-// workers building the node BDDs of overlapping PO cones) and records the
-// cross-worker ITE-cache hit rate.
-//
-// A third sweep measures two-level work stealing on a deliberately skewed
-// batch (one circuit with many equally-critical cones plus several small
-// adders): with stealing off, the batch tail serializes on the big
-// circuit while freed workers idle; with stealing on, they join its
-// per-round cone fan-out. The sweep asserts the outputs' full structural
-// hashes are identical between modes — stealing is an execution knob.
-//
-// A fourth sweep measures the intra-cone SAT fan-out (the third scheduling
-// level) on a single dominant-cone input — one deep single-PO circuit, so
-// item- and cone-level parallelism have nothing to fan out and only the
-// per-cube don't-care proofs can occupy the pool. Asserts byte-level
-// structural-hash identity between --intra-cone on and off.
-//
-// A fifth sweep measures the memory governor: the adder under a fixed
+// A second sweep measures the memory governor: the adder under a fixed
 // tight per-cone quota (Tier 1, deterministic degradation) at global
 // budgets {unlimited, 256M, 64M, 16M} (Tier 2, cache shedding). Since the
 // global rail only evicts pure memo entries and the per-cone quota is
@@ -36,25 +18,20 @@
 //   bench_parallel [bits] [max_jobs] [iterations]
 //
 // Results go to stdout and to BENCH_parallel.json (machine-readable, one
-// object per jobs value, plus "budgeted", "bdd", "steal", "intracone",
-// and "memgov" sections) so the perf trajectory is tracked across PRs.
+// object per jobs value, plus "budgeted" and "memgov" sections) so the
+// perf trajectory is tracked across PRs.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "aig/aig_build.hpp"
-#include "bdd/aig_bdd.hpp"
-#include "bdd/bdd.hpp"
 #include "common/memgov.hpp"
 #include "common/parse.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "engine/engine.hpp"
-#include "engine/metrics.hpp"
 #include "io/generators.hpp"
 
 using namespace lls;
@@ -116,217 +93,6 @@ std::string rows_json(const std::vector<Row>& rows) {
                 ",\"work_units\":" + std::to_string(rows[i].work_units) + "}";
     }
     return json + "]";
-}
-
-struct BddRow {
-    int jobs;
-    double shared_seconds;
-    double private_seconds;
-    double shared_hit_rate;   ///< ITE-cache hit rate of the one shared manager
-    double private_hit_rate;  ///< aggregate ITE-cache hit rate of the private managers
-};
-
-double hit_rate(std::uint64_t hits, std::uint64_t misses) {
-    return hits + misses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(hits + misses);
-}
-
-/// Shared-vs-private BDD manager comparison on the engine's exact-verify
-/// workload shape: every PO cone of the circuit, kRounds times over, built
-/// as node BDDs from `jobs` threads. Shared mode points every task at one
-/// concurrent manager (overlapping subfunctions collapse to unique-table
-/// and ITE-cache hits across workers); private mode gives every task its
-/// own manager, the pre-refactor behavior.
-std::vector<BddRow> bdd_sweep(const Aig& circuit, const std::vector<int>& job_counts) {
-    constexpr int kRounds = 32;
-    // Sized so the one shared manager can hold every cone's node BDDs at
-    // once: the old 2^16 cap was exceeded by the default 16-bit adder's
-    // cones and killed the whole bench with an uncaught ResourceExhausted.
-    constexpr std::size_t kNodeLimit = std::size_t{1} << 20;
-    std::vector<Aig> cones;
-    for (std::size_t o = 0; o < circuit.num_pos(); ++o) cones.push_back(extract_cone(circuit, o));
-    const std::size_t tasks = cones.size() * kRounds;
-
-    std::vector<BddRow> rows;
-    for (const int jobs : job_counts) {
-        ThreadPool pool(static_cast<std::size_t>(jobs) - 1);
-
-        BddManager shared(static_cast<int>(circuit.num_pis()), kNodeLimit);
-        Stopwatch shared_sw;
-        pool.parallel_for(0, tasks, [&](std::size_t i) {
-            build_node_bdds(cones[i % cones.size()], shared);
-        });
-        const double shared_seconds = shared_sw.elapsed_seconds();
-        const BddStats shared_stats = shared.stats();
-
-        std::atomic<std::uint64_t> private_hits{0}, private_misses{0};
-        Stopwatch private_sw;
-        pool.parallel_for(0, tasks, [&](std::size_t i) {
-            const Aig& cone = cones[i % cones.size()];
-            BddManager manager(static_cast<int>(cone.num_pis()), kNodeLimit);
-            build_node_bdds(cone, manager);
-            const BddStats s = manager.stats();
-            private_hits.fetch_add(s.ite_hits, std::memory_order_relaxed);
-            private_misses.fetch_add(s.ite_misses, std::memory_order_relaxed);
-        });
-        const double private_seconds = private_sw.elapsed_seconds();
-
-        rows.push_back({jobs, shared_seconds, private_seconds,
-                        hit_rate(shared_stats.ite_hits, shared_stats.ite_misses),
-                        hit_rate(private_hits.load(), private_misses.load())});
-        std::printf("  jobs=%-3d shared %7.3fs (ite hit %5.1f%%)   private %7.3fs "
-                    "(ite hit %5.1f%%)   speedup %.2fx\n",
-                    jobs, shared_seconds, 100.0 * rows.back().shared_hit_rate, private_seconds,
-                    100.0 * rows.back().private_hit_rate, private_seconds / shared_seconds);
-        std::fflush(stdout);
-    }
-    return rows;
-}
-
-std::string bdd_rows_json(const std::vector<BddRow>& rows) {
-    std::string json = "[";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (i) json += ',';
-        json += "{\"jobs\":" + std::to_string(rows[i].jobs) +
-                ",\"shared_seconds\":" + std::to_string(rows[i].shared_seconds) +
-                ",\"private_seconds\":" + std::to_string(rows[i].private_seconds) +
-                ",\"shared_ite_hit_rate\":" + std::to_string(rows[i].shared_hit_rate) +
-                ",\"private_ite_hit_rate\":" + std::to_string(rows[i].private_hit_rate) +
-                ",\"speedup\":" + std::to_string(rows[i].private_seconds / rows[i].shared_seconds) +
-                "}";
-    }
-    return json + "]";
-}
-
-/// One large many-critical-cone circuit + several small adders: the batch
-/// shape whose tail used to leave every worker but one idle.
-std::vector<BatchItem> skewed_batch() {
-    BenchmarkProfile profile;
-    profile.name = "steal_big";
-    profile.num_pis = 16;
-    profile.num_pos = 12;
-    profile.chain_length = 10;
-    profile.num_shared = 4;
-    profile.seed = 23;
-    std::vector<BatchItem> items;
-    items.push_back({"big", synthetic_control_circuit(profile)});
-    for (int i = 0; i < 6; ++i)
-        items.push_back({"small" + std::to_string(i), ripple_carry_adder(4 + (i % 3))});
-    return items;
-}
-
-struct StealResult {
-    int jobs = 0;
-    std::size_t items = 0;
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    bool identical = false;
-};
-
-/// Same skewed batch with stealing off then on, cold caches both times;
-/// `identical` is full-structural-hash equality of every item's output.
-StealResult steal_sweep(const std::vector<BatchItem>& items, const LookaheadParams& params,
-                        int jobs) {
-    auto run_mode = [&](bool steal, std::vector<std::uint64_t>* hashes) {
-        clear_engine_caches();
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.steal = steal;
-        Stopwatch sw;
-        const auto outcomes = optimize_timing_batch(items, params, engine);
-        const double seconds = sw.elapsed_seconds();
-        for (const auto& outcome : outcomes) {
-            if (outcome.failed) {
-                std::fprintf(stderr, "BATCH ITEM FAILED: %s: %s\n", outcome.name.c_str(),
-                             outcome.error.c_str());
-                std::exit(1);
-            }
-            hashes->push_back(outcome.output.hash());
-        }
-        return seconds;
-    };
-    StealResult result;
-    result.jobs = jobs;
-    result.items = items.size();
-    std::vector<std::uint64_t> off_hashes, on_hashes;
-    result.off_seconds = run_mode(false, &off_hashes);
-    result.on_seconds = run_mode(true, &on_hashes);
-    result.identical = off_hashes == on_hashes;
-    std::printf("  jobs=%-3d steal off %7.2fs   steal on %7.2fs   speedup %.2fx   outputs %s\n",
-                jobs, result.off_seconds, result.on_seconds,
-                result.off_seconds / result.on_seconds,
-                result.identical ? "identical" : "DIFFER (BUG)");
-    std::fflush(stdout);
-    return result;
-}
-
-/// Single dominant-cone input for the intra-cone sweep: one deep
-/// single-PO circuit, so every round evaluates exactly one cone and only
-/// the per-cube SAT don't-care proofs inside it can use the pool. 18 PIs
-/// keep simulation non-exhaustive (random patterns), which is what routes
-/// unreached don't-care candidates to SAT in the first place.
-Aig dominant_cone_circuit() {
-    BenchmarkProfile profile;
-    profile.name = "intracone_big";
-    profile.num_pis = 18;
-    profile.num_pos = 1;
-    profile.chain_length = 28;
-    profile.num_shared = 8;
-    profile.seed = 47;
-    return synthetic_control_circuit(profile);
-}
-
-struct IntraConeResult {
-    int jobs = 0;
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    std::uint64_t queries = 0;           ///< SAT don't-care proofs in the `on` run
-    std::uint64_t parallel_batches = 0;  ///< multi-task fan-out dispatches in the `on` run
-    bool identical = false;
-};
-
-/// The dominant-cone circuit with the intra-cone fan-out off then on, cold
-/// caches both times; `identical` is structural-hash equality plus equal
-/// deterministic work spend.
-IntraConeResult intracone_sweep(const Aig& circuit, const LookaheadParams& params, int jobs) {
-    auto run_mode = [&](bool intra, std::uint64_t* hash, std::uint64_t* work) {
-        clear_engine_caches();
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.intra_cone = intra;
-        OptimizeStats stats;
-        Stopwatch sw;
-        const Aig out = optimize_timing_engine(circuit, params, engine, &stats);
-        const double seconds = sw.elapsed_seconds();
-        if (!stats.verified) {
-            std::fprintf(stderr, "VERIFICATION FAILURE at intra_cone=%d\n", intra ? 1 : 0);
-            std::exit(1);
-        }
-        *hash = out.hash();
-        *work = stats.work_units;
-        return seconds;
-    };
-    IntraConeResult result;
-    result.jobs = jobs;
-    std::uint64_t off_hash = 0, on_hash = 0, off_work = 0, on_work = 0;
-    result.off_seconds = run_mode(false, &off_hash, &off_work);
-    Metrics& metrics = Metrics::global();
-    const std::uint64_t queries_before = metrics.counter("engine.intracone.queries").value();
-    const std::uint64_t batches_before =
-        metrics.counter("engine.intracone.parallel_batches").value();
-    result.on_seconds = run_mode(true, &on_hash, &on_work);
-    result.queries = metrics.counter("engine.intracone.queries").value() - queries_before;
-    result.parallel_batches =
-        metrics.counter("engine.intracone.parallel_batches").value() - batches_before;
-    result.identical = off_hash == on_hash && off_work == on_work;
-    std::printf("  jobs=%-3d intra off %7.2fs   intra on %7.2fs   speedup %.2fx   "
-                "%llu proofs / %llu parallel batches   outputs %s\n",
-                jobs, result.off_seconds, result.on_seconds,
-                result.off_seconds / result.on_seconds,
-                static_cast<unsigned long long>(result.queries),
-                static_cast<unsigned long long>(result.parallel_batches),
-                result.identical ? "identical" : "DIFFER (BUG)");
-    std::fflush(stdout);
-    return result;
 }
 
 struct MemgovRow {
@@ -449,48 +215,14 @@ int main(int argc, char** argv) {
     std::printf("QoR identical across job counts with budget: %s\n",
                 budgeted_identical ? "yes" : "NO (BUG)");
 
-    // Shared-vs-private BDD manager on the exact-verification workload.
-    // Capped at a 10-bit adder: with the generator's PI order (all a's,
-    // then all b's) adder cone BDDs grow exponentially in the bit width,
-    // and past ~12 bits they exceed any sane node limit — which used to
-    // kill this bench with an uncaught ResourceExhausted at the default
-    // 16-bit size.
-    const Aig bdd_rca = bits <= 10 ? rca : ripple_carry_adder(10);
-    std::printf("shared BDD manager: node BDDs of all %zu PO cones x32 rounds (%d-bit adder)\n",
-                bdd_rca.num_pos(), bits <= 10 ? bits : 10);
-    const std::vector<BddRow> bdd_rows = bdd_sweep(bdd_rca, job_counts);
-    bool bdd_sharing_observed = false;
-    for (const auto& row : bdd_rows)
-        bdd_sharing_observed = bdd_sharing_observed || row.shared_hit_rate > 0.0;
-    std::printf("cross-worker ITE-cache hits observed: %s\n",
-                bdd_sharing_observed ? "yes" : "NO (BUG)");
-
-    // Two-level work stealing on the skewed batch, at the largest job
-    // count (stealing only matters once workers outnumber live items).
-    const int steal_jobs = std::max(2, max_jobs);
-    const std::vector<BatchItem> batch = skewed_batch();
-    std::printf("steal sweep: skewed batch, %zu items (1 big + %zu small), --jobs %d\n",
-                batch.size(), batch.size() - 1, steal_jobs);
-    const StealResult steal = steal_sweep(batch, params, steal_jobs);
-
-    // Intra-cone fan-out on the single dominant cone, at the same largest
-    // job count; random patterns forced so the SAT don't-care path runs.
-    const Aig dominant = dominant_cone_circuit();
-    LookaheadParams intracone_params = params;
-    intracone_params.force_random_patterns = true;
-    std::printf("intra-cone sweep: single dominant cone (%zu PIs, depth %d, %zu ANDs), "
-                "--jobs %d\n",
-                dominant.num_pis(), dominant.depth(), dominant.count_reachable_ands(),
-                steal_jobs);
-    const IntraConeResult intracone = intracone_sweep(dominant, intracone_params, steal_jobs);
-
     // Memory-governor sweep: fixed tight per-cone quota, shrinking global
     // budgets; outputs must be identical at every budget.
+    const int memgov_jobs = std::max(2, max_jobs);
     std::printf("memgov sweep: --cone-mem 4M at budgets unlimited/256M/64M/16M, --jobs %d\n",
-                steal_jobs);
+                memgov_jobs);
     bool memgov_identical = false;
     const std::vector<MemgovRow> memgov_rows =
-        memgov_sweep(rca, params, steal_jobs, &memgov_identical);
+        memgov_sweep(rca, params, memgov_jobs, &memgov_identical);
     std::printf("QoR identical across memory budgets: %s\n",
                 memgov_identical ? "yes" : "NO (BUG)");
 
@@ -502,22 +234,6 @@ int main(int argc, char** argv) {
                        ",\"budgeted\":{\"work_budget\":" + std::to_string(work_budget) +
                        ",\"qor_identical\":" + (budgeted_identical ? "true" : "false") +
                        ",\"runs\":" + rows_json(budgeted_rows) + "}" +
-                       ",\"bdd\":{\"sharing_observed\":" + (bdd_sharing_observed ? "true" : "false") +
-                       ",\"runs\":" + bdd_rows_json(bdd_rows) + "}" +
-                       ",\"steal\":{\"jobs\":" + std::to_string(steal.jobs) +
-                       ",\"items\":" + std::to_string(steal.items) +
-                       ",\"off_seconds\":" + std::to_string(steal.off_seconds) +
-                       ",\"on_seconds\":" + std::to_string(steal.on_seconds) +
-                       ",\"speedup\":" + std::to_string(steal.off_seconds / steal.on_seconds) +
-                       ",\"identical\":" + (steal.identical ? "true" : "false") + "}" +
-                       ",\"intracone\":{\"jobs\":" + std::to_string(intracone.jobs) +
-                       ",\"queries\":" + std::to_string(intracone.queries) +
-                       ",\"parallel_batches\":" + std::to_string(intracone.parallel_batches) +
-                       ",\"off_seconds\":" + std::to_string(intracone.off_seconds) +
-                       ",\"on_seconds\":" + std::to_string(intracone.on_seconds) +
-                       ",\"speedup\":" +
-                       std::to_string(intracone.off_seconds / intracone.on_seconds) +
-                       ",\"identical\":" + (intracone.identical ? "true" : "false") + "}" +
                        ",\"memgov\":{\"cone_mem_bytes\":" +
                        std::to_string(std::uint64_t{4} << 20) +
                        ",\"identical\":" + (memgov_identical ? "true" : "false") +
@@ -527,8 +243,5 @@ int main(int argc, char** argv) {
         std::fclose(f);
         std::printf("wrote BENCH_parallel.json\n");
     }
-    return identical && budgeted_identical && bdd_sharing_observed && steal.identical &&
-                   intracone.identical && memgov_identical
-               ? 0
-               : 1;
+    return identical && budgeted_identical && memgov_identical ? 0 : 1;
 }

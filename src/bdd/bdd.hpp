@@ -1,9 +1,6 @@
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -11,10 +8,7 @@
 
 namespace lls {
 
-class MemoryGovernor;
-
-/// Point-in-time counters of one BddManager (tests, benches, and the
-/// shared-vs-private comparison in bench_parallel). The same numbers are
+/// Point-in-time counters of one BddManager (tests). The same numbers are
 /// flushed into the global metrics registry (`bdd.unique.*`,
 /// `bdd.ite_cache.*`) when the manager is destroyed, so `lls_opt --metrics`
 /// aggregates them across every manager the process created.
@@ -35,28 +29,13 @@ struct BddStats {
 /// SPCF computation, cross-checks of the simulation-based machinery), not
 /// as a general-purpose verification engine.
 ///
-/// The manager is safe for concurrent use from many threads (Sylvan-style,
-/// scaled down to this package's ambitions):
-///
-/// - The unique table is sharded over `kShards` independently locked hash
-///   maps; node storage is a segmented arena of immutable packed words, so
-///   readers never take a lock. Canonicity is preserved under contention:
-///   two threads racing to create the same (var, low, high) node serialize
-///   on the owning shard and observe one ref.
-/// - The computed table (ITE cache) is a fixed-size, direct-mapped, *lossy*
-///   array under striped mutexes: an insert simply overwrites the slot, so
-///   the table is capacity-bounded for the life of the manager (the cap is
-///   tied to the node limit). Losing an entry only costs recomputation —
-///   results are canonical, so a recomputation returns the identical ref.
-/// - Node-limit accounting is one global atomic aggregated across shards:
-///   allocation attempt `node_limit` throws LlsError{ResourceExhausted} no
-///   matter which shard (or thread) triggers it, matching the serial
-///   manager's threshold exactly.
-///
-/// Determinism: ref *values* depend on allocation order and therefore on
-/// the thread schedule, but every public decision made from refs is an
-/// equality test between canonical refs, which is schedule-independent.
-/// Callers must never persist or compare ref values across managers.
+/// A manager is single-threaded: each exact check builds in its own. The
+/// computed table (ITE cache) is a fixed-size, direct-mapped, *lossy*
+/// array: an insert simply overwrites the slot, so the table is
+/// capacity-bounded for the life of the manager (the cap is tied to the
+/// node limit). Losing an entry only costs recomputation — results are
+/// canonical, so a recomputation returns the identical ref. Callers must
+/// never persist or compare ref values across managers.
 class BddManager {
 public:
     using Ref = std::uint32_t;
@@ -70,7 +49,7 @@ public:
     BddManager& operator=(const BddManager&) = delete;
 
     int num_vars() const { return num_vars_; }
-    std::size_t num_nodes() const { return num_nodes_.load(std::memory_order_acquire); }
+    std::size_t num_nodes() const { return nodes_.size(); }
 
     Ref bdd_false() const { return kFalse; }
     Ref bdd_true() const { return kTrue; }
@@ -103,32 +82,12 @@ public:
     /// Number of DAG nodes reachable from f (excluding terminals).
     std::size_t size(Ref f) const;
 
-    /// Total nodes allocated; exceeding the limit throws
-    /// LlsError{ResourceExhausted} (callers treat it as "circuit too large
-    /// for exact analysis" and degrade rather than abort). The count is
-    /// aggregated across every unique-table shard, so the threshold is the
-    /// same global number however allocations distribute over shards.
+    /// Total nodes allocated (terminals included); exceeding the limit
+    /// throws LlsError{ResourceExhausted} (callers treat it as "circuit too
+    /// large for exact analysis" and degrade rather than abort).
     std::size_t node_limit() const { return node_limit_; }
 
-    /// Counter snapshot (hit/miss totals are approximate only in the sense
-    /// that a concurrent snapshot is not an atomic cut across counters).
-    BddStats stats() const;
-
-    /// Attaches the Tier-2 memory governor (common/memgov.hpp): arena
-    /// blocks and the ITE cache report counted bytes, and every relief
-    /// episode the governor runs makes this manager halve its ITE cache at
-    /// the next node allocation (the manager polls the relief epoch rather
-    /// than registering a hook, so lifetimes stay decoupled). Call during
-    /// setup, before concurrent use; pass nullptr to detach.
-    void bind_governor(MemoryGovernor* governor);
-
-    /// Halves the ITE cache (never below its minimum capacity), returning
-    /// the bytes freed. Safe against concurrent ite() traffic: the resize
-    /// happens under all cache stripes.
-    std::size_t shrink_ite_cache();
-
-    /// Current ITE-cache slot count (observability/tests).
-    std::size_t ite_capacity() const;
+    BddStats stats() const { return stats_; }
 
 private:
     // Packing: a node is one 64-bit word (var << 44 | low << 22 | high).
@@ -136,12 +95,6 @@ private:
     // packing is injective and doubles as the unique-table key.
     static constexpr int kRefBits = 22;
     static constexpr std::uint64_t kRefMask = (std::uint64_t{1} << kRefBits) - 1;
-    static constexpr std::size_t kShards = 16;
-    static constexpr std::size_t kBlockBits = 16;  // 65536 nodes per arena block
-    static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockBits;
-    static constexpr std::size_t kMaxBlocks =
-        (std::size_t{1} << kRefBits) >> kBlockBits;
-    static constexpr std::size_t kIteStripes = 64;
 
     static constexpr std::uint64_t pack(int var, Ref low, Ref high) {
         return (static_cast<std::uint64_t>(var) << (2 * kRefBits)) |
@@ -161,11 +114,6 @@ private:
         }
     };
 
-    struct Shard {
-        std::mutex mutex;
-        std::unordered_map<std::uint64_t, Ref, U64Hash> map;
-    };
-
     /// One lossy, direct-mapped computed-table slot. `f` is never a
     /// terminal for a cached call (terminal cases short-circuit in ite), so
     /// f == kFalse doubles as the empty marker.
@@ -175,56 +123,20 @@ private:
     };
 
     Ref make_node(int var, Ref low, Ref high);
-    /// Packed word of a node. Safe without locks: words are immutable once
-    /// published, and every cross-thread ref handoff goes through a mutex
-    /// (shard map, ITE stripe) or an acquire load (variable cache), which
-    /// establishes the necessary happens-before with the write.
-    std::uint64_t node_word(Ref f) const {
-        return blocks_[f >> kBlockBits].load(std::memory_order_acquire)[f & (kBlockSize - 1)];
-    }
-    int var_of(Ref f) const { return word_var(node_word(f)); }
-    /// Writes the word for a freshly allocated index, creating its arena
-    /// block on demand.
-    void store_word(std::size_t index, std::uint64_t word);
-
-    std::size_t ite_hash(Ref f, Ref g, Ref h) const;
-    bool ite_cache_get(Ref f, Ref g, Ref h, Ref* result);
-    void ite_cache_put(Ref f, Ref g, Ref h, Ref result);
-    /// Shrinks the ITE cache when the bound governor ran a relief episode
-    /// since this manager last looked.
-    void maybe_shrink_for_governor();
+    IteEntry& ite_slot(Ref f, Ref g, Ref h);
 
     int num_vars_;
     std::size_t node_limit_;
-    std::atomic<std::size_t> num_nodes_{0};
-
-    // Segmented node arena: blocks are allocated on demand under
-    // `block_mutex_` and published with release stores; refs index into
-    // them as blocks_[ref >> 16][ref & 0xffff].
-    std::array<std::atomic<std::uint64_t*>, kMaxBlocks> blocks_{};
-    std::mutex block_mutex_;
-
-    mutable std::array<Shard, kShards> shards_;
-
-    // Lossy ITE cache: power-of-two slot array, striped mutexes. The slot
-    // array only changes (shrinks) under *all* stripes; readers map a
-    // stripe-independent hash to a slot under their stripe lock. Capacity
-    // never drops below 2^10 slots, so slot & (kIteStripes - 1) equals
-    // hash & (kIteStripes - 1) — same slot always means same stripe.
+    /// Packed node words, indexed by ref.
+    std::vector<std::uint64_t> nodes_;
+    /// Unique table: packed word -> ref.
+    std::unordered_map<std::uint64_t, Ref, U64Hash> unique_;
+    /// Lossy ITE cache: power-of-two slot array.
     std::vector<IteEntry> ite_cache_;
-    std::size_t ite_mask_ = 0;
-    mutable std::array<std::mutex, kIteStripes> ite_mutex_;
-
-    MemoryGovernor* governor_ = nullptr;
-    std::atomic<std::int64_t> governor_charged_{0};
-    std::atomic<std::uint64_t> governor_epoch_seen_{0};
-
-    // Projection-function cache; kFalse marks "not created yet" (a variable
-    // node is never the FALSE terminal).
-    std::vector<std::atomic<Ref>> var_refs_;
-
-    std::atomic<std::uint64_t> unique_hits_{0}, nodes_created_{0};
-    std::atomic<std::uint64_t> ite_hits_{0}, ite_misses_{0}, ite_evictions_{0};
+    /// Projection-function cache; kFalse marks "not created yet" (a
+    /// variable node is never the FALSE terminal).
+    std::vector<Ref> var_refs_;
+    BddStats stats_;
 };
 
 }  // namespace lls

@@ -13,21 +13,20 @@
 // retry ladder contains by degrading the cone to its original structure —
 // a deterministic fault that memoizes like any other. Like WorkCost, a
 // MemoryQuota is deliberately NOT thread-safe: it is charged at serial
-// points, or through task-local quotas merged in fixed task order after a
-// parallel join (lookahead/decompose.cpp, phase B).
+// points, or through task-local quotas merged in fixed task order
+// (lookahead/decompose.cpp, phase B).
 //
 // Tier 2 — MemoryGovernor: a *process-wide* high-water rail
-// (`lls_opt --mem-budget`). Solver arenas and shared BDD managers push
-// counted byte deltas into one atomic accountant; the memo caches and
-// warm-start buffers are polled through registered gauges. Crossing the
-// rail first triggers cache shedding (registered shed hooks halve the memo
-// caches; BDD managers observe the relief epoch and shrink their ITE
-// caches), then admission control in batch mode (new items block at the
-// gate until in-flight ones finish and release memory). The rail is
-// wall-state-dependent — *when* it fires depends on scheduling — but it
-// only ever evicts pure memo entries and delays dispatch, so committed
-// results stay byte-identical; its event counts are reported as
-// nondeterministic observability, like `time_budget_seconds`.
+// (`lls_opt --mem-budget`). Solver arenas push counted byte deltas into
+// one atomic accountant; the memo caches and warm-start buffers are polled
+// through registered gauges. Crossing the rail first triggers cache
+// shedding (registered shed hooks halve the memo caches), then admission
+// control in batch mode (new items block at the gate until in-flight ones
+// finish and release memory). The rail is wall-state-dependent — *when*
+// it fires depends on scheduling — but it only ever evicts pure memo
+// entries and delays dispatch, so committed results stay byte-identical;
+// its event counts are reported as nondeterministic observability, like
+// `time_budget_seconds`.
 
 #include <atomic>
 #include <chrono>
@@ -116,9 +115,9 @@ public:
 
     std::uint64_t budget() const { return budget_; }
 
-    /// Counted-byte delta from a component (solver arena growth, BDD arena
-    /// block, warm-start flush buffer). Negative deltas release. Positive
-    /// deltas may trigger relief when the rail is armed.
+    /// Counted-byte delta from a component (solver arena growth, warm-start
+    /// flush buffer). Negative deltas release. Positive deltas may trigger
+    /// relief when the rail is armed.
     void charge(std::int64_t delta);
 
     /// Registers a polled byte source (memo caches, warm-start sets).
@@ -148,11 +147,6 @@ public:
         return admission_holds_.load(std::memory_order_relaxed);
     }
 
-    /// Bumped on every relief episode. Components that cannot register a
-    /// shed hook safely (per-run BDD managers whose lifetime the governor
-    /// does not control) poll this and shrink themselves when it moves.
-    std::uint64_t relief_epoch() const { return relief_epoch_.load(std::memory_order_acquire); }
-
     /// True while the post-shedding high-water hold is in effect (admission
     /// control active).
     bool admission_held() const { return hold_.load(std::memory_order_relaxed); }
@@ -181,7 +175,6 @@ private:
 
     std::mutex relief_mutex_;  // one relief episode at a time
     std::uint64_t last_relief_bytes_ = 0;
-    std::atomic<std::uint64_t> relief_epoch_{0};
     std::atomic<bool> hold_{false};
 
     std::mutex gate_mutex_;

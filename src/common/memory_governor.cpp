@@ -74,7 +74,6 @@ void MemoryGovernor::maybe_relieve() {
         current >= last_relief_bytes_ + kEpisodeGrowth) {
         for (const auto& hook : shed_hooks_) hook();
         shed_events_.fetch_add(1, std::memory_order_relaxed);
-        relief_epoch_.fetch_add(1, std::memory_order_release);
         last_relief_bytes_ = poll_gauges_locked();
         hold_.store(last_relief_bytes_ > budget_, std::memory_order_relaxed);
     } else {

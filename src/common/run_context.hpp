@@ -1,29 +1,15 @@
 #pragma once
 
-// RunContext: the one plumbing path for cross-cutting run state.
+// RunContext: the one plumbing path for cross-cutting run state — the
+// deterministic work sink, the fault rung, cancellation sources, the
+// memory quota and governor, metrics, and the exact-verify switch.
 //
-// Before this type existed the engine threaded its shared state through
-// five ad-hoc channels — `DecomposeHooks` (fault injection + exact-verify
-// switches + shared BDD manager), raw `WorkCost*` parameters, a
-// `FaultContext*`, a `BddManager*`, and the thread-local `CancelScope` —
-// each with its own ownership and default-argument conventions. A layer
-// that wanted one more piece of context forced a signature change through
-// every caller, which is exactly what kept the inner loops from being
-// handed a thread pool safely.
-//
-// A RunContext bundles all of it: the engine constructs one per cone
-// evaluation (per retry rung), and decompose -> reduce -> simplify ->
-// cec -> sat all take a `const RunContext&`. Every field is an unowned
-// pointer that must outlive the call; every field defaults to "absent", so
-// `RunContext{}` is a valid do-nothing context for tests and simple CLI
-// paths.
-//
-// The `executor` field is what makes the third scheduling level possible:
-// secondary simplification fans its independent per-cube SAT don't-care
-// proofs across the (reentrant, help-while-waiting) pool, with verdicts
-// committed and WorkCost charged in fixed index order after the join so
-// the fan-out stays invisible to budgeted determinism and byte-identity
-// (docs/ENGINE.md, "Run context & three-level scheduling").
+// The engine constructs one per cone evaluation (per retry rung), and
+// decompose -> reduce -> simplify -> cec -> sat all take a
+// `const RunContext&`. Every field is an unowned pointer that must outlive
+// the call; every field defaults to "absent", so `RunContext{}` is a valid
+// do-nothing context for tests and simple CLI paths (docs/ENGINE.md,
+// "Run context").
 
 #include <cstddef>
 #include <string_view>
@@ -36,9 +22,7 @@
 
 namespace lls {
 
-class BddManager;
 class Metrics;
-class ThreadPool;
 
 struct RunContext {
     /// Deterministic work sink of the current evaluation: attempts and SAT
@@ -54,55 +38,33 @@ struct RunContext {
 
     /// Process/batch-level shutdown token, or null. Together with
     /// `deadline` this mirrors what the evaluating thread's CancelScope
-    /// holds — carried explicitly so work fanned out via `executor` can
-    /// install the same scope on whichever worker picks it up, and so the
-    /// SAT solver can poll the context directly between decisions.
+    /// holds — carried explicitly so the SAT solver can poll the context
+    /// directly between decisions.
     const CancelToken* cancel = nullptr;
 
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Run-wide concurrency-safe BDD manager for exact verification, or
-    /// null. When set and the cone fits its variable count, rung-2 exact
-    /// verify builds in it; exhaustion of the shared pool falls back to a
-    /// private manager bounded by `exact_verify_bdd_limit`, so a crowded
-    /// pool can never flip a verdict the private manager would reach
-    /// (docs/ENGINE.md, "Shared BDD manager").
-    BddManager* shared_bdd = nullptr;
-
     /// Final-equivalence switch of the engine's retry ladder: SAT-based
-    /// CEC when false, canonical-BDD comparison when true (rung 2).
+    /// CEC when false, canonical-BDD comparison in a private manager
+    /// bounded by `exact_verify_bdd_limit` when true (rung 2).
     bool exact_verify = false;
     std::size_t exact_verify_bdd_limit = std::size_t{1} << 21;
 
     /// Tier-1 deterministic byte quota of this evaluation rung, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
-    /// not thread-safe: serial stages charge it directly; parallel
-    /// intra-cone tasks charge task-local quotas snapshotted from
-    /// `remaining()` at a serial point and merged in fixed task order.
+    /// not thread-safe: serial stages charge it directly; the per-cube
+    /// don't-care proof tasks charge task-local quotas snapshotted from
+    /// `remaining()` and merged in fixed task order.
     MemoryQuota* mem_quota = nullptr;
 
     /// Tier-2 process-wide accountant (the `--mem-budget` rail), or null.
-    /// Components with real arenas (SAT solvers, BDD managers) push
-    /// counted byte deltas here; purely observability + relief, never a
-    /// result-changing input.
+    /// Components with real arenas (SAT solvers) push counted byte deltas
+    /// here; purely observability + relief, never a result-changing input.
     MemoryGovernor* governor = nullptr;
 
     /// Metrics registry, or null to fall back to the process-global one.
     Metrics* metrics = nullptr;
-
-    /// Intra-cone executor: the run's reentrant pool, or null for strictly
-    /// serial inner loops. Purely an execution knob — consumers must keep
-    /// results identical with and without it (fixed-order joins).
-    ThreadPool* executor = nullptr;
-
-    /// Gate for the intra-cone fan-out (`lls_opt --intra-cone`). Kept
-    /// separate from `executor` so one context can serve both modes.
-    bool intra_cone = true;
-
-    /// The executor to fan intra-cone work across, or null when the
-    /// fan-out is disabled or no pool was provided.
-    ThreadPool* intra_cone_executor() const { return intra_cone ? executor : nullptr; }
 
     /// Fires the planned fault for `site` (if any) as LlsError at `stage`.
     void check_fault(std::string_view site, std::string_view stage) const {

@@ -40,8 +40,7 @@ namespace lls {
 /// is never mistaken for a completed one.
 ///
 /// `parallel_for` is reentrant: the body may call `parallel_for` on the
-/// same pool (nested fan-out, or a worker running one batch item fanning
-/// out that item's cones). The waiter never blocks while the queue holds
+/// same pool (nested fan-out). The waiter never blocks while the queue holds
 /// work — it *helps*, popping and running queued tasks until its own
 /// helpers have finished — so nested calls cannot deadlock on workers
 /// that are all waiting for helpers only they could run.
@@ -204,7 +203,7 @@ public:
 
     /// Total time threads spent asleep inside `parallel_for`'s
     /// help-while-waiting loop — waiting with an empty queue for helpers
-    /// running elsewhere. The steal scheduler's idle-time metric.
+    /// running elsewhere (the engine's `*.idle_wait` timers).
     std::uint64_t idle_wait_nanos() const {
         return idle_wait_nanos_.load(std::memory_order_relaxed);
     }

@@ -1,20 +1,14 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
-#include <atomic>
-
-#include <mutex>
-
-#include <thread>
-
 #include "aig/aig_build.hpp"
 #include "baseline/restructure.hpp"
-#include "bdd/bdd.hpp"
 #include "cec/cec.hpp"
 #include "common/budget.hpp"
 #include "common/error.hpp"
@@ -196,17 +190,10 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     const ScopedTimer total_scope(total_timer);
     metrics.counter("engine.runs").add();
 
-    // The calling thread participates in parallel_for, so a pool of
-    // jobs - 1 workers applies exactly `jobs` threads to the cone fan-out.
-    // Under two-level scheduling the run instead publishes its fan-out to
-    // the caller-owned shared pool (batch mode), where freed workers from
-    // completed sibling items pick it up.
-    const int jobs = std::max(1, engine.jobs);
-    std::optional<ThreadPool> own_pool;
-    if (!engine.shared_pool) own_pool.emplace(static_cast<std::size_t>(jobs - 1));
-    ThreadPool& pool = engine.shared_pool ? *engine.shared_pool : *own_pool;
-    MetricCounter& steal_donated = metrics.counter("engine.steal.donated_ranges");
-    MetricCounter& steal_stolen = metrics.counter("engine.steal.stolen_indices");
+    // The calling thread participates in parallel_for, so a run-private
+    // pool of jobs - 1 workers applies exactly `jobs` threads to the cone
+    // fan-out.
+    ThreadPool pool(static_cast<std::size_t>(std::max(1, engine.jobs) - 1));
     // A malformed plan is an entry error, raised before any work starts.
     const FaultPlan fault_plan = FaultPlan::parse(params.fault_plan);
     // Run-entry fault site: `oom@run` (or any kind at site "run") fires
@@ -222,34 +209,6 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     // and therefore the job count — cannot influence any outcome.
     Rng rng(params.seed);
     const Aig original = input.cleanup();
-
-    // Run-wide shared BDD manager (the substrate of the rung-2 exact
-    // verification): one concurrency-safe manager every worker builds
-    // into, so identical subgraphs are constructed once per run instead of
-    // once per cone per worker. Sized to the full pool cap — exhaustion is
-    // a safety rail, not a routine boundary, and the exact-verify path
-    // falls back to a private manager when it fires. Circuits beyond the
-    // manager's variable-packing range simply run without one — exactly
-    // the inputs whose cones exact verification could never build anyway.
-    // Batch mode hands every item the same externally owned manager
-    // (engine.shared_bdd_manager), so parallel items reuse each other's
-    // subgraphs instead of each building a private run-wide pool.
-    std::shared_ptr<BddManager> own_shared_bdd;
-    BddManager* shared_bdd = nullptr;
-    if (engine.shared_bdd) {
-        if (engine.shared_bdd_manager != nullptr &&
-            original.num_pis() <= static_cast<std::size_t>(engine.shared_bdd_manager->num_vars())) {
-            shared_bdd = engine.shared_bdd_manager;
-        } else if (original.num_pis() < (std::size_t{1} << 20)) {
-            own_shared_bdd = std::make_shared<BddManager>(static_cast<int>(original.num_pis()),
-                                                          /*node_limit=*/std::size_t{1} << 22);
-            shared_bdd = own_shared_bdd.get();
-            // A run-private shared manager reports its arena to the Tier-2
-            // rail (an externally owned one was bound by its owner — the
-            // batch driver or the CLI — binding it again would double-count).
-            if (engine.governor != nullptr) own_shared_bdd->bind_governor(engine.governor);
-        }
-    }
 
     // Deterministic work budget: charged only at serial points with the
     // per-cone costs of each round's evaluations, so `budget.exhausted()`
@@ -270,8 +229,8 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     };
     const CancelScope serial_cancel_scope(engine.cancel, nullptr);
     // Context of the *serial* stages (SAT sweeping, CEC): observability
-    // cost sink plus the shutdown token, never a deadline or executor —
-    // serial-stage work is uncharged and single-threaded by design.
+    // cost sink plus the shutdown token, never a deadline — serial-stage
+    // work is uncharged and single-threaded by design.
     auto serial_context = [&](WorkCost& cost) {
         RunContext ctx;
         ctx.cost = &cost;
@@ -361,19 +320,13 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
                 // The one plumbing path down the decompose -> reduce ->
                 // simplify -> cec -> sat stack: deterministic cost sink,
                 // fault rung, cancellation sources (mirroring the
-                // CancelScope above, so fanned-out work re-installs them on
-                // whichever worker runs it), the run-wide BDD manager, and
-                // the intra-cone executor for the per-cube SAT don't-care
-                // fan-out (third scheduling level).
+                // CancelScope above) and the rung-2 exact-verify switch.
                 RunContext ctx = cone_run_context(evaluation);
                 ctx.faults = &fault_context;
                 ctx.cancel = engine.cancel;
                 ctx.deadline = &cone_deadline;
-                ctx.shared_bdd = shared_bdd;
                 ctx.exact_verify = rung == 2;
                 ctx.metrics = &metrics;
-                ctx.executor = pool.size() > 0 ? &pool : nullptr;
-                ctx.intra_cone = engine.intra_cone;
                 if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
                 ctx.governor = engine.governor;
                 Rng cone_rng(hash_mix(fingerprint, cone_hash));
@@ -477,17 +430,7 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
             std::vector<ConeEvaluation> evaluations(tasks.size());
             {
                 const ScopedTimer evaluate_scope(evaluate_timer);
-                // On a shared pool this range is *donated*: the helper
-                // tasks land in the batch-wide queue where any freed
-                // worker can drain them. An index executed by a thread
-                // other than this item's owner is a stolen index —
-                // observability only, never part of the result.
-                const bool donated =
-                    engine.shared_pool != nullptr && pool.size() > 0 && tasks.size() > 1;
-                if (donated) steal_donated.add();
-                const std::thread::id owner = std::this_thread::get_id();
                 pool.parallel_for(0, tasks.size(), [&](std::size_t i) {
-                    if (donated && std::this_thread::get_id() != owner) steal_stolen.add();
                     // Stop dispatching: tasks that have not started yet are
                     // skipped outright once a shutdown is requested (the
                     // round below is discarded anyway).
@@ -752,17 +695,14 @@ Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
     if (local.wall_clock_interrupted) wall_clock_stops.add();
     rounds_run.add(static_cast<std::uint64_t>(local.iterations));
     cones_improved.add(static_cast<std::uint64_t>(local.outputs_decomposed));
-    // Indices an exception-aborted fan-out skipped. A run-private pool is
-    // exported here; a shared pool is exported once by the batch that owns
-    // it (the counter is pool-cumulative).
-    if (own_pool && own_pool->aborted_indices() > 0)
-        metrics.counter("engine.pool.aborted_indices").add(own_pool->aborted_indices());
-    // Time a run-private pool's threads spent waiting idle across this
-    // run's fan-outs (cone rounds and intra-cone proof batches) — the cost
-    // help-while-waiting exists to shrink. A shared pool's wait is exported
-    // by the batch as engine.steal.idle_wait instead.
-    if (own_pool && engine.intra_cone && own_pool->size() > 0)
-        metrics.timer("engine.intracone.idle_wait").add_nanos(own_pool->idle_wait_nanos());
+    // Indices an exception-aborted fan-out skipped.
+    if (pool.aborted_indices() > 0)
+        metrics.counter("engine.pool.aborted_indices").add(pool.aborted_indices());
+    // Time the run-private pool's threads spent waiting idle across this
+    // run's cone fan-outs. The timer keeps its historical name because the
+    // benchmark's per-layer list reads it.
+    if (pool.size() > 0)
+        metrics.timer("engine.intracone.idle_wait").add_nanos(pool.idle_wait_nanos());
     if (engine.governor != nullptr) sync_governor_metrics(metrics, *engine.governor);
     if (stats) *stats = local;
     return best;
@@ -778,40 +718,11 @@ std::vector<BatchOutcome> optimize_timing_batch(
     const std::function<void(const BatchOutcome&, std::size_t)>& on_complete) {
     std::vector<BatchOutcome> outcomes(items.size());
     const std::size_t jobs = static_cast<std::size_t>(std::max(1, engine.jobs));
-    // Two-level scheduling: every item starts at jobs=1, but with stealing
-    // on the items share one pool, so the per-round cone fan-out of an
-    // in-flight item is published to the same queue the item-level
-    // parallel_for drains. Early in the batch every worker owns a whole
-    // circuit; as items complete, freed workers pick up the donated cone
-    // ranges of the stragglers instead of idling — which is why the pool
-    // keeps all jobs-1 workers even when fewer items than workers remain.
-    // With stealing off, the pool is capped at items-1 workers as before
-    // (extra workers could never get work).
-    const bool steal = engine.steal && jobs > 1 && items.size() > 1;
-    ThreadPool pool(steal ? jobs - 1
-                          : std::min(jobs - 1, items.empty() ? 0 : items.size() - 1));
-    // One batch-wide BDD manager, sized to the widest item: the exact-SPCF
-    // and exact-verification BDD work of every parallel item builds into
-    // the same concurrency-safe pool, so items share subgraphs the way
-    // workers within one run already do. Per-call private-manager fallback
-    // on exhaustion is unchanged (verdicts stay deterministic); items
-    // beyond the packing range simply run without a shared manager, as
-    // before. An externally provided manager is passed through untouched.
-    std::optional<BddManager> batch_bdd;
-    if (engine.shared_bdd && engine.shared_bdd_manager == nullptr && !items.empty()) {
-        std::size_t max_pis = 0;
-        for (const auto& item : items) max_pis = std::max(max_pis, item.input.num_pis());
-        if (max_pis < (std::size_t{1} << 20))
-            batch_bdd.emplace(static_cast<int>(max_pis), /*node_limit=*/std::size_t{1} << 22);
-    }
-    // The batch owns the shared manager, so the batch binds it to the rail
-    // (per-item engines skip externally owned managers to avoid
-    // double-counting).
-    if (batch_bdd && engine.governor != nullptr) batch_bdd->bind_governor(engine.governor);
+    // Items run whole and serially (jobs = 1 each), so workers beyond
+    // items - 1 (the calling thread takes a share) could never get work.
+    ThreadPool pool(std::min(jobs - 1, items.empty() ? 0 : items.size() - 1));
     EngineOptions per_item = engine;
-    per_item.jobs = 1;  // item-level parallelism still dominates a full batch
-    per_item.shared_pool = steal ? &pool : nullptr;
-    if (batch_bdd) per_item.shared_bdd_manager = &*batch_bdd;
+    per_item.jobs = 1;
     std::mutex complete_mutex;
     const auto batch_cancelled = [&engine]() {
         return engine.cancel != nullptr && engine.cancel->requested();
@@ -878,9 +789,10 @@ std::vector<BatchOutcome> optimize_timing_batch(
         }
     });
     // Pool-lifetime observability: time threads spent waiting idle in
-    // parallel_for (the cost stealing exists to shrink) and indices any
-    // aborted fan-out skipped.
-    if (steal) Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
+    // parallel_for and indices any aborted fan-out skipped. The idle timer
+    // keeps its historical name because the benchmark's per-layer list
+    // reads it.
+    Metrics::global().timer("engine.steal.idle_wait").add_nanos(pool.idle_wait_nanos());
     if (pool.aborted_indices() > 0)
         Metrics::global().counter("engine.pool.aborted_indices").add(pool.aborted_indices());
     if (engine.governor != nullptr) sync_governor_metrics(Metrics::global(), *engine.governor);

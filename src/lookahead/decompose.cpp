@@ -14,7 +14,6 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/memgov.hpp"
-#include "common/thread_pool.hpp"
 #include "engine/metrics.hpp"
 #include "lookahead/reduce.hpp"
 #include "lookahead/simplify.hpp"
@@ -52,11 +51,8 @@ Metrics& metrics_of(const RunContext& ctx) {
 /// candidate minterms no !Sigma_1 pattern reached, to be proven genuinely
 /// unreachable by SAT (one independent query per minterm). Tasks are
 /// self-contained — each runs against its own solver encoding of the same
-/// pre-simplification network snapshot — so they can execute in any order,
-/// on any thread, and still produce identical verdicts and identical
-/// per-task conflict counts. That purity is the whole determinism argument
-/// of the intra-cone fan-out: the joined results are a function of the
-/// task list, never of the schedule.
+/// pre-simplification network snapshot — so verdicts and per-task conflict
+/// counts are a function of the task alone.
 struct DcProofTask {
     std::uint32_t node = 0;
     TruthTable dc;                        ///< proven don't-cares (pre-filled when exhaustive)
@@ -224,20 +220,15 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             proof_tasks.push_back(std::move(task));
         }
 
-        // Phase B: prove the candidates. Each task encodes the shared
-        // snapshot into its own solver and runs its minterm queries in
-        // minterm order — structurally identical work whether the tasks run
-        // serially here or fanned out across the pool, which is what keeps
-        // `--intra-cone on|off` (and every --jobs value) byte-identical.
-        // Errors are contained per task, every index always executes, and
-        // the join below charges conflicts in task order up to the first
-        // error — so the charge stream cannot depend on the schedule.
+        // Phase B: prove the candidates, task by task. Each task encodes
+        // the snapshot into its own solver and runs its minterm queries in
+        // minterm order. An error is recorded in its task and stops the
+        // phase; the join below charges conflicts in task order up to the
+        // first error and rethrows it.
         if (need_sat && !proof_tasks.empty()) {
-            // Tier-1 headroom snapshot, taken at this serial point: each
-            // proof task charges a *task-local* quota bounded by the same
-            // snapshot (sharing the cone quota across threads would be a
-            // data race and make the trip point schedule-dependent). The
-            // join below merges the task byte counts into the cone quota in
+            // Tier-1 headroom snapshot: each proof task charges a
+            // *task-local* quota bounded by the same snapshot, and the join
+            // below merges the task byte counts into the cone quota in
             // fixed task order — the same discipline as the conflict
             // charges. An exhausted snapshot (0 headroom) clamps to 1 so
             // any task allocation still trips deterministically.
@@ -245,13 +236,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 ctx.mem_quota == nullptr
                     ? 0
                     : std::max<std::uint64_t>(1, ctx.mem_quota->remaining());
-            auto run_task = [&](std::size_t t) {
-                DcProofTask& task = proof_tasks[t];
-                // A pool worker may arrive here from any cone or batch
-                // item; install this cone's cancellation scope so the
-                // thread-local polls inside the solver see the right
-                // deadline (nesting-safe: CancelScope saves/restores).
-                const CancelScope task_scope(ctx.cancel, ctx.deadline);
+            auto run_task = [&](DcProofTask& task) {
                 RunContext task_ctx = ctx;
                 MemoryQuota task_quota(task_quota_limit);
                 task_ctx.mem_quota = ctx.mem_quota != nullptr ? &task_quota : nullptr;
@@ -287,22 +272,15 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 task.mem_bytes = task_quota.charged();
             };
 
-            ThreadPool* executor = ctx.intra_cone_executor();
-            if (executor != nullptr && proof_tasks.size() > 1) {
-                metrics_of(ctx).counter("engine.intracone.parallel_batches").add();
-                // run_task never throws (errors are recorded per task), so
-                // the fan-out always executes every index — required: the
-                // join must see a verdict-or-error for each task.
-                executor->parallel_for(0, proof_tasks.size(), run_task);
-            } else {
-                for (std::size_t t = 0; t < proof_tasks.size(); ++t) run_task(t);
+            for (DcProofTask& task : proof_tasks) {
+                run_task(task);
+                if (task.error) break;
             }
 
-            // Deterministic join: resolve verdicts and charge conflicts in
-            // fixed task order. On error, charge through the first failing
-            // task (its partial conflicts are a pure function of the task
-            // for deterministic kinds like ResourceExhausted) and rethrow;
-            // later tasks ran but stay uncharged in both execution modes.
+            // Join: resolve verdicts and charge conflicts in task order. On
+            // error, charge through the failing task (its partial conflicts
+            // are a pure function of the task for deterministic kinds like
+            // ResourceExhausted) and rethrow.
             std::uint64_t sat_queries = 0;
             std::exception_ptr first_error;
             for (DcProofTask& task : proof_tasks) {
@@ -319,6 +297,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 for (std::size_t q = 0; q < task.queries.size(); ++q)
                     if (task.verdicts[q]) task.dc.set_bit(task.queries[q], true);
             }
+            // Historical name, kept because the benchmark's per-layer list reads it.
             metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
             if (first_error) std::rethrow_exception(first_error);
         }
@@ -422,29 +401,11 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     ctx.check_fault("cec", "cec");
     if (ctx.exact_verify) {
         // Last-resort rung of the engine's retry ladder: canonical BDDs
-        // decide equivalence exactly instead of bounding SAT effort. The
-        // shared run-wide manager is tried first (cross-cone/cross-worker
-        // subgraph reuse); its global pool running dry falls back to a
-        // private manager so the resource boundary stays a pure function
-        // of (cone, params) rather than of the thread schedule.
+        // in a private manager decide equivalence exactly instead of
+        // bounding SAT effort, so the resource boundary is a pure function
+        // of (cone, params).
         bool equivalent = false;
-        bool decided = false;
-        // Under a Tier-1 quota the shared manager is skipped outright: its
-        // node pool reflects what *other* cones and workers built, so
-        // charging this cone for growth observed there would be
-        // schedule-dependent. The quota-capped private manager below keeps
-        // the charge a pure function of (cone, params).
-        if (ctx.mem_quota == nullptr && ctx.shared_bdd != nullptr &&
-            static_cast<int>(result.num_pis()) <= ctx.shared_bdd->num_vars()) {
-            try {
-                equivalent = bdd_equivalent(result, cone, *ctx.shared_bdd);
-                decided = true;
-            } catch (const LlsError& e) {
-                if (e.kind() != ErrorKind::ResourceExhausted) throw;
-                metrics_of(ctx).counter("bdd.shared.exact_verify_fallbacks").add();
-            }
-        }
-        if (!decided && ctx.mem_quota != nullptr) {
+        if (ctx.mem_quota != nullptr) {
             // Private manager with a node cap derived from the quota
             // headroom. When the quota is the binding constraint (not the
             // configured BDD limit), running the manager dry *is* quota
@@ -460,14 +421,14 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                                 node_cap);
                 equivalent = bdd_equivalent(result, cone, priv);
                 ctx.mem_quota->charge(priv.num_nodes() * memcost::kBddNodeBytes);
-                decided = true;
             } catch (const LlsError& e) {
                 if (e.kind() == ErrorKind::ResourceExhausted && quota_capped)
                     ctx.mem_quota->charge(headroom + 1);  // throws the memgov fault
                 throw;
             }
+        } else {
+            equivalent = bdd_equivalent(result, cone, ctx.exact_verify_bdd_limit);
         }
-        if (!decided) equivalent = bdd_equivalent(result, cone, ctx.exact_verify_bdd_limit);
         if (!equivalent) return std::nullopt;
     } else {
         const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);

@@ -10,16 +10,9 @@ namespace lls {
 
 std::optional<ExactSpcf> compute_spcf_exact(const Aig& aig, std::int32_t delta,
                                             std::size_t bdd_node_limit) {
-    return compute_spcf_exact(
-        aig, std::make_shared<BddManager>(static_cast<int>(aig.num_pis()), bdd_node_limit),
-        delta);
-}
-
-std::optional<ExactSpcf> compute_spcf_exact(const Aig& aig, std::shared_ptr<BddManager> manager,
-                                            std::int32_t delta) {
     static MetricTimer& exact_timer = Metrics::global().timer("spcf.exact");
     const ScopedTimer timer_scope(exact_timer);
-    LLS_REQUIRE(manager && static_cast<int>(aig.num_pis()) <= manager->num_vars());
+    auto manager = std::make_shared<BddManager>(static_cast<int>(aig.num_pis()), bdd_node_limit);
     try {
         const auto values = build_node_bdds(aig, *manager);
 

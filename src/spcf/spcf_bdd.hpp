@@ -19,9 +19,7 @@ namespace lls {
 /// >= delta. Exact analysis is exponential in the worst case, so the entry
 /// point takes a node budget and declines (nullopt) when exceeded.
 struct ExactSpcf {
-    /// Private to this result, or a shared concurrent manager handed in by
-    /// the caller — shared_ptr so many ExactSpcf results (from many
-    /// workers) can alias one manager and reuse each other's subgraphs.
+    /// The manager the refs below live in, private to this result.
     std::shared_ptr<BddManager> manager;
     std::vector<BddManager::Ref> po_spcf;  ///< [po] set of critical minterms
     std::vector<std::int32_t> po_max_arrival;
@@ -29,9 +27,8 @@ struct ExactSpcf {
     std::int32_t delta = 0;
 
     double fraction(std::size_t po) const {
-        // Invariant under extra manager variables (a shared manager may
-        // hold more than this circuit's PIs): count_minterms scales by
-        // 2^num_vars and this divides by the same power.
+        // count_minterms scales by 2^num_vars and this divides by the same
+        // power.
         double scale = 1.0;
         for (int i = 0; i < manager->num_vars(); ++i) scale *= 0.5;
         return manager->count_minterms(po_spcf[po]) * scale;
@@ -43,17 +40,6 @@ struct ExactSpcf {
 /// node budget is exhausted.
 std::optional<ExactSpcf> compute_spcf_exact(const Aig& aig, std::int32_t delta = 0,
                                             std::size_t bdd_node_limit = 1u << 21);
-
-/// The same computation against a caller-provided shared manager (must
-/// satisfy `manager->num_vars() >= aig.num_pis()`): node BDDs and
-/// arrival-set subgraphs common across circuits or workers are built once.
-/// Returns nullopt when the shared manager's global node pool is exhausted
-/// — with a warm shared pool that boundary depends on what else was built,
-/// so callers needing a schedule-independent verdict should retry with a
-/// private manager.
-std::optional<ExactSpcf> compute_spcf_exact(const Aig& aig,
-                                            std::shared_ptr<BddManager> manager,
-                                            std::int32_t delta = 0);
 
 /// Renders a BDD-represented minterm set as a signature over a pattern set,
 /// so exact SPCFs plug into the same simulation-based machinery.

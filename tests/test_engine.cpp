@@ -83,29 +83,17 @@ TEST(Engine, ResultCacheDoesNotChangeQoR) {
     EXPECT_EQ(cached.hash, uncached.hash);
 }
 
-std::string run_aiger(const Aig& input, int jobs, bool shared_bdd) {
+std::string run_aiger(const Aig& input, int jobs) {
     LookaheadParams params;
     params.max_iterations = 6;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.shared_bdd = shared_bdd;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
     std::stringstream aag;
     write_aiger(aag, out);
     return aag.str();
-}
-
-TEST(Engine, SharedBddMatchesPrivateByteForByte) {
-    // The shared manager is an execution knob: the serialized output must be
-    // identical to the private-manager baseline for every jobs value, on
-    // both sides of the switch.
-    const Aig rca = ripple_carry_adder(8);
-    const std::string baseline = run_aiger(rca, 1, /*shared_bdd=*/false);
-    for (const int jobs : {1, 2, 4})
-        EXPECT_EQ(run_aiger(rca, jobs, /*shared_bdd=*/true), baseline) << "jobs=" << jobs;
-    EXPECT_EQ(run_aiger(rca, 4, /*shared_bdd=*/false), baseline);
 }
 
 TEST(Engine, CacheHitCountersIncreaseOnRepeatedRuns) {
@@ -140,11 +128,11 @@ TEST(Engine, BatchMatchesIndividualRuns) {
 }
 
 /// A deliberately skewed batch: one circuit with many equally-critical
-/// cones (wide per-round fan-out, the stealing target) plus several small
-/// adders that finish quickly and free their workers.
+/// cones plus several small adders that finish quickly and free their
+/// workers.
 std::vector<BatchItem> skewed_batch() {
     BenchmarkProfile profile;
-    profile.name = "steal_big";
+    profile.name = "skewed_big";
     profile.num_pis = 14;
     profile.num_pos = 8;
     profile.chain_length = 9;
@@ -158,7 +146,7 @@ std::vector<BatchItem> skewed_batch() {
     return items;
 }
 
-std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int jobs, bool steal) {
+std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int jobs) {
     // Cold caches every run: a warm memo would mask any schedule-dependence
     // this test exists to catch.
     clear_engine_caches();
@@ -166,7 +154,6 @@ std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int j
     params.max_iterations = 5;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.steal = steal;
     const auto outcomes = optimize_timing_batch(items, params, engine);
     std::vector<std::string> aigers;
     for (const auto& outcome : outcomes) {
@@ -178,47 +165,24 @@ std::vector<std::string> batch_aigers(const std::vector<BatchItem>& items, int j
     return aigers;
 }
 
-TEST(Engine, BatchStealingIsByteIdenticalAcrossJobsAndModes) {
-    // The two-level scheduler is an execution knob: freed workers joining
-    // another item's cone fan-out must never change what that item
-    // commits. Full serialized bytes, not just QoR, across jobs values and
-    // both sides of the switch.
+TEST(Engine, BatchIsByteIdenticalAcrossJobs) {
+    // Full serialized bytes, not just QoR: the worker that runs an item
+    // must never change what that item commits.
     const auto items = skewed_batch();
-    const auto baseline = batch_aigers(items, 1, /*steal=*/false);
+    const auto baseline = batch_aigers(items, 1);
     ASSERT_EQ(baseline.size(), items.size());
-    for (const int jobs : {2, 4}) {
-        EXPECT_EQ(batch_aigers(items, jobs, /*steal=*/true), baseline) << "steal jobs=" << jobs;
-        EXPECT_EQ(batch_aigers(items, jobs, /*steal=*/false), baseline)
-            << "no-steal jobs=" << jobs;
-    }
-    EXPECT_EQ(batch_aigers(items, 1, /*steal=*/true), baseline);
+    for (const int jobs : {2, 4})
+        EXPECT_EQ(batch_aigers(items, jobs), baseline) << "jobs=" << jobs;
 }
 
-TEST(Engine, BatchStealingDonatesRangesToSharedPool) {
-    // With stealing on and more than one worker, in-flight items publish
-    // their multi-cone rounds to the shared pool; the donation counter is
-    // deterministic (it counts rounds, not schedule-dependent steals).
-    Metrics& metrics = Metrics::global();
-    const std::uint64_t donated_before = metrics.counter("engine.steal.donated_ranges").value();
-    batch_aigers(skewed_batch(), 4, /*steal=*/true);
-    EXPECT_GT(metrics.counter("engine.steal.donated_ranges").value(), donated_before);
-
-    // With stealing off there is no shared pool, so nothing is donated.
-    const std::uint64_t donated_mid = metrics.counter("engine.steal.donated_ranges").value();
-    batch_aigers(skewed_batch(), 4, /*steal=*/false);
-    EXPECT_EQ(metrics.counter("engine.steal.donated_ranges").value(), donated_mid);
-}
-
-TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
-    // The checkpoint hook's serialization guarantee must survive the
-    // shared-pool rework: journal writers rely on never being entered
-    // concurrently.
+TEST(Engine, OnCompleteNeverRunsConcurrently) {
+    // Journal writers rely on the checkpoint hook never being entered
+    // concurrently, even with every worker finishing items.
     const auto items = skewed_batch();
     LookaheadParams params;
     params.max_iterations = 5;
     EngineOptions engine;
     engine.jobs = 4;
-    engine.steal = true;
     std::atomic<int> in_hook{0};
     std::vector<int> seen(items.size(), 0);
     const auto outcomes = optimize_timing_batch(
@@ -231,38 +195,6 @@ TEST(Engine, OnCompleteNeverRunsConcurrentlyUnderStealing) {
         });
     ASSERT_EQ(outcomes.size(), items.size());
     for (const int count : seen) EXPECT_EQ(count, 1);
-}
-
-TEST(Checkpoint, ResumedItemsMatchUninterruptedRunUnderStealing) {
-    // The --resume property under two-level scheduling: an interrupted
-    // steal-enabled batch re-running only its tail must reproduce the
-    // uninterrupted bytes — stealing must not let one item's schedule leak
-    // into another item's output.
-    const auto items = skewed_batch();
-    clear_engine_caches();
-    LookaheadParams params;
-    params.max_iterations = 5;
-    EngineOptions engine;
-    engine.jobs = 4;
-    engine.steal = true;
-
-    auto aiger_of = [](const BatchOutcome& outcome) {
-        std::stringstream aag;
-        write_aiger(aag, outcome.output);
-        return aag.str();
-    };
-
-    const auto full = optimize_timing_batch(items, params, engine);
-    ASSERT_EQ(full.size(), items.size());
-
-    // Crash after the first two items were journaled; the resumed batch
-    // (still steal-enabled) only contains the tail.
-    clear_engine_caches();
-    std::vector<BatchItem> resumed_items = {items[2], items[3]};
-    const auto resumed = optimize_timing_batch(resumed_items, params, engine);
-    ASSERT_EQ(resumed.size(), 2u);
-    EXPECT_EQ(aiger_of(resumed[0]), aiger_of(full[2]));
-    EXPECT_EQ(aiger_of(resumed[1]), aiger_of(full[3]));
 }
 
 /// Full byte-level fingerprint of a budgeted run: the serialized output AIG
@@ -353,16 +285,15 @@ TEST(Engine, BudgetSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-cone SAT fan-out (third scheduling level)
+// SAT don't-care proofs of secondary simplification
 
 /// One engine run configured to exercise the SAT don't-care proofs of
-/// secondary simplification (the intra-cone fan-out's workload): forcing
-/// random patterns makes every cone's simulation non-exhaustive, so the
-/// unreached candidate minterms go to per-cube SAT queries instead of
-/// being read off an exhaustive truth table. Caches are cleared first —
-/// every run is cold unless the caller re-runs itself.
-BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
-                              std::uint64_t work_budget = 0) {
+/// secondary simplification: forcing random patterns makes every cone's
+/// simulation non-exhaustive, so the unreached candidate minterms go to
+/// per-cube SAT queries instead of being read off an exhaustive truth
+/// table. Caches are cleared first — every run is cold unless the caller
+/// re-runs itself.
+BudgetedResult run_dc_proofs(const Aig& input, int jobs, std::uint64_t work_budget = 0) {
     clear_engine_caches();
     LookaheadParams params;
     params.max_iterations = 4;
@@ -370,7 +301,6 @@ BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
     params.work_budget = work_budget;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.intra_cone = intra_cone;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
@@ -381,39 +311,36 @@ BudgetedResult run_intra_cone(const Aig& input, int jobs, bool intra_cone,
     return {aag.str(), stats.work_units, stats.budget_exhausted};
 }
 
-TEST(Engine, IntraConeIsByteIdenticalAcrossJobsAndModes) {
-    // The intra-cone fan-out is an execution knob: per-cube proof tasks
-    // run on pool workers, but verdicts commit and conflicts charge in
-    // fixed task order after the join, so serialized output AND work spend
-    // must match the serial path byte for byte at every jobs value.
+TEST(Engine, DontCareProofRunsAreByteIdenticalAcrossJobs) {
+    // Serialized output AND work spend must match the serial run byte for
+    // byte at every jobs value, and the proofs must actually run.
     const Aig rca = ripple_carry_adder(8);
-    const BudgetedResult baseline = run_intra_cone(rca, 1, /*intra_cone=*/false);
-    for (const int jobs : {1, 2, 4}) {
-        for (const bool intra : {false, true}) {
-            const BudgetedResult r = run_intra_cone(rca, jobs, intra);
-            EXPECT_EQ(r.aiger, baseline.aiger) << "jobs=" << jobs << " intra=" << intra;
-            EXPECT_EQ(r.work_units, baseline.work_units)
-                << "jobs=" << jobs << " intra=" << intra;
-        }
+    Metrics& metrics = Metrics::global();
+    const std::uint64_t queries_before = metrics.counter("engine.intracone.queries").value();
+    const BudgetedResult baseline = run_dc_proofs(rca, 1);
+    EXPECT_GT(metrics.counter("engine.intracone.queries").value(), queries_before);
+    for (const int jobs : {2, 4}) {
+        const BudgetedResult r = run_dc_proofs(rca, jobs);
+        EXPECT_EQ(r.aiger, baseline.aiger) << "jobs=" << jobs;
+        EXPECT_EQ(r.work_units, baseline.work_units) << "jobs=" << jobs;
     }
 }
 
-TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossModesAndCacheStates) {
-    // Budgeted trajectories must be unperturbed by the fan-out: the join
-    // charges conflicts in task index order, so exhaustion fires after the
-    // same round regardless of jobs x intra-cone x cold/warm cache.
+TEST(Engine, DontCareProofBudgetedRunsAreInvariantAcrossJobsAndCacheStates) {
+    // The proof phase charges conflicts in task order, so exhaustion fires
+    // after the same round regardless of jobs x cold/warm cache.
     const Aig rca = ripple_carry_adder(8);
     for (const std::uint64_t budget : {std::uint64_t{80}, std::uint64_t{1} << 62}) {
-        const BudgetedResult baseline = run_intra_cone(rca, 1, /*intra_cone=*/false, budget);
+        const BudgetedResult baseline = run_dc_proofs(rca, 1, budget);
         for (const int jobs : {2, 4}) {
-            const BudgetedResult r = run_intra_cone(rca, jobs, /*intra_cone=*/true, budget);
+            const BudgetedResult r = run_dc_proofs(rca, jobs, budget);
             EXPECT_EQ(r.aiger, baseline.aiger) << "budget=" << budget << " jobs=" << jobs;
             EXPECT_EQ(r.work_units, baseline.work_units)
                 << "budget=" << budget << " jobs=" << jobs;
             EXPECT_EQ(r.budget_exhausted, baseline.budget_exhausted)
                 << "budget=" << budget << " jobs=" << jobs;
         }
-        // Warm-cache replay: run_intra_cone clears caches, so call the
+        // Warm-cache replay: run_dc_proofs clears caches, so call the
         // engine again directly on the now-populated memo.
         LookaheadParams params;
         params.max_iterations = 4;
@@ -421,7 +348,6 @@ TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossModesAndCacheStates) {
         params.work_budget = budget;
         EngineOptions engine;
         engine.jobs = 4;
-        engine.intra_cone = true;
         OptimizeStats stats;
         const Aig warm = optimize_timing_engine(rca, params, engine, &stats);
         std::stringstream aag;
@@ -429,72 +355,6 @@ TEST(Engine, IntraConeBudgetedRunsAreInvariantAcrossModesAndCacheStates) {
         EXPECT_EQ(aag.str(), baseline.aiger) << "warm budget=" << budget;
         EXPECT_EQ(stats.work_units, baseline.work_units) << "warm budget=" << budget;
     }
-}
-
-TEST(Engine, IntraConeMetricsCountQueriesAndParallelBatches) {
-    Metrics& metrics = Metrics::global();
-    const std::uint64_t queries_before = metrics.counter("engine.intracone.queries").value();
-    const std::uint64_t batches_before =
-        metrics.counter("engine.intracone.parallel_batches").value();
-    run_intra_cone(ripple_carry_adder(8), 4, /*intra_cone=*/true);
-    // The forced-random-pattern run must have sent don't-care candidates
-    // to SAT; with workers available, multi-task batches fan out.
-    EXPECT_GT(metrics.counter("engine.intracone.queries").value(), queries_before);
-    EXPECT_GT(metrics.counter("engine.intracone.parallel_batches").value(), batches_before);
-
-    // With the fan-out disabled the serial loop answers the same queries
-    // but never dispatches a parallel batch.
-    const std::uint64_t batches_mid =
-        metrics.counter("engine.intracone.parallel_batches").value();
-    run_intra_cone(ripple_carry_adder(8), 4, /*intra_cone=*/false);
-    EXPECT_EQ(metrics.counter("engine.intracone.parallel_batches").value(), batches_mid);
-}
-
-TEST(Engine, IntraConeStressConcurrentFanoutsThroughSharedPool) {
-    // Many simultaneous intra-cone fan-outs through one shared batch pool —
-    // the three-level schedule TSan runs race-check: batch items x cone
-    // rounds x per-cube proof tasks all drain the same queue, and every
-    // proof task re-installs its cancellation scope on whichever worker
-    // picks it up. Outputs must still match the fully serial baseline.
-    std::vector<BatchItem> items;
-    items.push_back({"rca7", ripple_carry_adder(7)});
-    items.push_back({"rca8", ripple_carry_adder(8)});
-    for (int s = 0; s < 3; ++s) {
-        BenchmarkProfile profile;
-        profile.name = "intracone_stress";
-        profile.num_pis = 14;
-        profile.num_pos = 6;
-        profile.chain_length = 8;
-        profile.num_shared = 3;
-        profile.seed = 31 + s;
-        items.push_back({"ctrl" + std::to_string(s), synthetic_control_circuit(profile)});
-    }
-    LookaheadParams params;
-    params.max_iterations = 3;
-    params.force_random_patterns = true;
-
-    auto batch_bytes = [&](int jobs, bool steal, bool intra) {
-        clear_engine_caches();
-        EngineOptions engine;
-        engine.jobs = jobs;
-        engine.steal = steal;
-        engine.intra_cone = intra;
-        const auto outcomes = optimize_timing_batch(items, params, engine);
-        std::vector<std::string> aigers;
-        for (const auto& outcome : outcomes) {
-            EXPECT_FALSE(outcome.failed) << outcome.name;
-            std::stringstream aag;
-            write_aiger(aag, outcome.output);
-            aigers.push_back(aag.str());
-        }
-        return aigers;
-    };
-
-    const auto baseline = batch_bytes(1, /*steal=*/false, /*intra=*/false);
-    ASSERT_EQ(baseline.size(), items.size());
-    EXPECT_EQ(batch_bytes(4, /*steal=*/true, /*intra=*/true), baseline);
-    EXPECT_EQ(batch_bytes(4, /*steal=*/false, /*intra=*/true), baseline);
-    EXPECT_EQ(batch_bytes(2, /*steal=*/true, /*intra=*/true), baseline);
 }
 
 // ---------------------------------------------------------------------------
@@ -617,6 +477,40 @@ TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
     // Nothing decomposed successfully; any depth gain came from the
     // conventional restructuring passes, not from lookahead commits.
     EXPECT_EQ(stats.outputs_decomposed, 0);
+}
+
+TEST(Engine, ExactVerifyRungRecoversCones) {
+    // count=2 poisons rungs 0 and 1, so every cone reaching the decompose
+    // site is recovered by rung 2, which verifies with BDDs instead of SAT.
+    const Aig rca = ripple_carry_adder(6);
+    Metrics& metrics = Metrics::global();
+    auto fingerprint = [&](int jobs) {
+        clear_engine_caches();
+        const std::uint64_t bdd_nodes_before = metrics.counter("bdd.unique.nodes").value();
+        Aig out;
+        const OptimizeStats stats = run_faulted(rca, "resource@decompose:2", jobs, &out);
+        EXPECT_TRUE(stats.verified);
+        EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
+        EXPECT_GT(metrics.counter("bdd.unique.nodes").value(), bdd_nodes_before);
+        EXPECT_FALSE(stats.faults.empty());
+        std::stringstream aag;
+        write_aiger(aag, out);
+        std::string fp = aag.str();
+        for (const FaultRecord& fault : stats.faults) {
+            EXPECT_EQ(fault.kind, ErrorKind::ResourceExhausted);
+            EXPECT_TRUE(fault.recovered) << "cone " << fault.cone;
+            EXPECT_EQ(fault.retries.empty() ? "" : fault.retries.back(), "bdd-exact: ok")
+                << "cone " << fault.cone;
+            fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
+                  std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
+            for (const std::string& retry : fault.retries) fp += "," + retry;
+        }
+        return fp;
+    };
+    const std::string serial = fingerprint(1);
+    EXPECT_EQ(serial, fingerprint(2));
+    EXPECT_EQ(serial, fingerprint(4));
+    clear_engine_caches();  // drop the fault-plan-keyed entries
 }
 
 TEST(Engine, FaultedRunsAreCacheStateInvariant) {
@@ -751,7 +645,7 @@ TEST(Checkpoint, ResumedItemsMatchUninterruptedRun) {
     LookaheadParams params;
     params.max_iterations = 4;
     EngineOptions engine;
-    engine.jobs = 2;
+    engine.jobs = 4;  // more workers than the resumed batch has items
 
     auto aiger_of = [](const BatchOutcome& outcome) {
         std::stringstream aag;
@@ -759,11 +653,13 @@ TEST(Checkpoint, ResumedItemsMatchUninterruptedRun) {
         return aag.str();
     };
 
+    clear_engine_caches();
     const auto full = optimize_timing_batch(items, params, engine);
     ASSERT_EQ(full.size(), 3u);
 
     // Simulate a crash after item 0 was journaled: the resumed run only
-    // contains the remaining items.
+    // contains the remaining items, and recomputes them from cold caches.
+    clear_engine_caches();
     std::vector<BatchItem> resumed_items = {items[1], items[2]};
     const auto resumed = optimize_timing_batch(resumed_items, params, engine);
     ASSERT_EQ(resumed.size(), 2u);
@@ -1035,7 +931,6 @@ TEST(MemoryGovernor, ShedsOncePerEpisodeAndGateSelfClears) {
     governor.charge(512);
     EXPECT_EQ(sheds, 1);
     EXPECT_EQ(governor.shed_events(), 1u);
-    EXPECT_EQ(governor.relief_epoch(), 1u);
     EXPECT_EQ(cache_bytes, std::uint64_t{2} << 20);
     // Still over the rail after shedding: the admission hold goes up, but a
     // repeat charge in the same episode must NOT shed again (hysteresis —
@@ -1073,14 +968,12 @@ TEST(Engine, ConeQuotaKeysTheMemoFingerprint) {
     EXPECT_NE(lookahead_params_fingerprint(params), bounded);
 }
 
-OptimizeStats run_quota(const Aig& input, int jobs, bool intra_cone, std::uint64_t cone_mem,
-                        Aig* out_aig) {
+OptimizeStats run_quota(const Aig& input, int jobs, std::uint64_t cone_mem, Aig* out_aig) {
     LookaheadParams params;
     params.max_iterations = 6;
     params.cone_mem_bytes = cone_mem;
     EngineOptions engine;
     engine.jobs = jobs;
-    engine.intra_cone = intra_cone;
     OptimizeStats stats;
     *out_aig = optimize_timing_engine(input, params, engine, &stats);
     return stats;
@@ -1093,16 +986,15 @@ constexpr std::uint64_t kTestConeQuota = std::uint64_t{24} << 10;
 TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
     // The Tier-1 charge stream is a pure function of (cone, params): which
     // cones exhaust the quota — and the resulting output bytes and fault
-    // journal — must be identical across jobs, intra-cone fan-out, and
-    // cache state.
+    // journal — must be identical across jobs and cache state.
     const Aig rca = ripple_carry_adder(7);
     const std::uint64_t degrades_before =
         Metrics::global().counter("engine.mem.quota_degrades").value();
 
-    auto fingerprint = [&](int jobs, bool intra, bool cold) {
+    auto fingerprint = [&](int jobs, bool cold) {
         if (cold) clear_engine_caches();
         Aig out;
-        const OptimizeStats stats = run_quota(rca, jobs, intra, kTestConeQuota, &out);
+        const OptimizeStats stats = run_quota(rca, jobs, kTestConeQuota, &out);
         EXPECT_TRUE(stats.verified);
         EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
         EXPECT_GT(stats.quota_degraded, 0);
@@ -1127,15 +1019,13 @@ TEST(Engine, ConeQuotaDegradesByteIdenticallyAcrossSchedules) {
         return fp;
     };
 
-    const std::string baseline = fingerprint(1, true, /*cold=*/true);
+    const std::string baseline = fingerprint(1, /*cold=*/true);
     EXPECT_FALSE(baseline.empty());
-    for (const int jobs : {1, 2, 4})
-        for (const bool intra : {true, false})
-            EXPECT_EQ(fingerprint(jobs, intra, /*cold=*/true), baseline)
-                << "jobs=" << jobs << " intra=" << intra;
+    for (const int jobs : {2, 4})
+        EXPECT_EQ(fingerprint(jobs, /*cold=*/true), baseline) << "jobs=" << jobs;
     // Warm: quota degradation memoizes like any deterministic fault, so a
     // cache hit must replay the same bytes and the same journal.
-    EXPECT_EQ(fingerprint(2, true, /*cold=*/false), baseline);
+    EXPECT_EQ(fingerprint(2, /*cold=*/false), baseline);
     EXPECT_GT(Metrics::global().counter("engine.mem.quota_degrades").value(), degrades_before);
     clear_engine_caches();  // drop the quota-keyed entries
 }
@@ -1197,20 +1087,21 @@ TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
     // The Tier-2 rail is a wall rail: a budget small enough to force
     // shedding mid-run may change *when* memo entries exist, but never what
     // the run commits. Charged bytes must flow into the metrics registry.
-    const Aig rca = ripple_carry_adder(8);
+    // Solver arenas report in 256 KiB chunks; rca16's whole-circuit CEC
+    // crosses one, and a 64 KiB budget sits below it.
+    const Aig rca = ripple_carry_adder(16);
     clear_engine_caches();
-    const std::string baseline = run_aiger(rca, 2, /*shared_bdd=*/true);
+    const std::string baseline = run_aiger(rca, 2);
 
     clear_engine_caches();
     const std::uint64_t charged_before =
         Metrics::global().counter("engine.mem.charged_bytes").value();
-    MemoryGovernor governor(std::uint64_t{1} << 20);
+    MemoryGovernor governor(std::uint64_t{64} << 10);
     register_memo_governance(governor);
     LookaheadParams params;
     params.max_iterations = 6;
     EngineOptions engine;
     engine.jobs = 2;
-    engine.shared_bdd = true;
     engine.governor = &governor;
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(rca, params, engine, &stats);
@@ -1218,11 +1109,11 @@ TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
     std::stringstream aag;
     write_aiger(aag, out);
     EXPECT_EQ(aag.str(), baseline);
-    // Solver arenas and the shared BDD manager pushed counted deltas.
+    // Solver arenas pushed counted deltas.
     EXPECT_GT(governor.charged_total(), 0u);
     EXPECT_GT(Metrics::global().counter("engine.mem.charged_bytes").value(), charged_before);
-    // A 1 MiB budget is far below the run's working set, so at least one
-    // relief episode must have run.
+    // The budget is below one solver chunk, so at least one relief episode
+    // must have run.
     EXPECT_GT(governor.shed_events(), 0u);
     clear_engine_caches();  // leave no half-shed state behind
 }
@@ -1230,13 +1121,14 @@ TEST(Engine, GovernedRunsMatchUngovernedByteForByte) {
 TEST(Engine, GovernedBatchCompletesAndMatchesUngoverned) {
     // Admission control only delays dispatch (and with nothing in flight
     // admits unconditionally), so a governed batch under a starvation-level
-    // budget must finish every item with the ungoverned bytes.
+    // budget must finish every item with the ungoverned bytes. rca16's
+    // solver traffic crosses the budget, so the rail actually fires.
     std::vector<BatchItem> items;
+    items.push_back({"rca16", ripple_carry_adder(16)});
     items.push_back({"rca5", ripple_carry_adder(5)});
     items.push_back({"rca6", ripple_carry_adder(6)});
-    items.push_back({"rca7", ripple_carry_adder(7)});
     LookaheadParams params;
-    params.max_iterations = 4;
+    params.max_iterations = 6;
 
     auto aiger_of = [](const BatchOutcome& outcome) {
         std::stringstream aag;
@@ -1250,7 +1142,7 @@ TEST(Engine, GovernedBatchCompletesAndMatchesUngoverned) {
     const auto ungoverned = optimize_timing_batch(items, params, plain);
 
     clear_engine_caches();
-    MemoryGovernor governor(std::uint64_t{512} << 10);
+    MemoryGovernor governor(std::uint64_t{64} << 10);
     register_memo_governance(governor);
     EngineOptions engine;
     engine.jobs = 2;
@@ -1264,6 +1156,7 @@ TEST(Engine, GovernedBatchCompletesAndMatchesUngoverned) {
         EXPECT_EQ(aiger_of(governed[i]), aiger_of(ungoverned[i])) << governed[i].name;
     }
     EXPECT_GT(governor.charged_total(), 0u);
+    EXPECT_GT(governor.shed_events(), 0u);
     clear_engine_caches();
 }
 

@@ -230,13 +230,10 @@ bool run_deadline_iteration(std::uint64_t seed) {
         params.seed = seed;
         // 1us .. ~2ms: tight enough that cones regularly outlive it.
         params.cone_deadline_seconds = static_cast<double>(1 + rng.next_below(2000)) * 1e-6;
-        // Randomize the execution knobs the deadline interacts with: the
-        // intra-cone fan-out moves the cancellation polls onto pool workers
-        // (each proof task re-installs the deadline scope), and extra jobs
-        // let the watchdog fire concurrently in several cones. Neither may
-        // change what containment guarantees hold.
+        // Randomize the job count: extra jobs let the watchdog fire
+        // concurrently in several cones, which may not change what
+        // containment guarantees hold.
         lls::EngineOptions engine;
-        engine.intra_cone = rng.next_bool();
         engine.jobs = 1 + static_cast<int>(rng.next_below(4));
         lls::OptimizeStats stats;
         const lls::Aig optimized = lls::optimize_timing_engine(circuit, params, engine, &stats);
@@ -291,17 +288,16 @@ bool run_memgov_iteration(std::uint64_t seed) {
         // enough that some complete (both the degrade path and the success
         // path run under accounting).
         params.cone_mem_bytes = (std::uint64_t{1} << 10) + rng.next_below(std::uint64_t{1} << 17);
-        // A small global rail (1..32 MB) so shedding and the relief epoch
-        // fire under fuzz workloads too; 0 every fourth run keeps the
-        // accounting-only configuration covered.
+        // A small global rail (1..32 MB) so cache shedding fires under
+        // fuzz workloads too; 0 every fourth run keeps the accounting-only
+        // configuration covered.
         const std::uint64_t budget =
             rng.next_below(4) == 0 ? 0 : (std::uint64_t{1} << 20) * (1 + rng.next_below(32));
 
-        auto run = [&](int jobs, bool intra, lls::OptimizeStats* stats) {
+        auto run = [&](int jobs, lls::OptimizeStats* stats) {
             lls::MemoryGovernor governor(budget);
             lls::EngineOptions engine;
             engine.jobs = jobs;
-            engine.intra_cone = intra;
             engine.governor = &governor;
             const lls::Aig optimized =
                 lls::optimize_timing_engine(circuit, params, engine, stats);
@@ -312,7 +308,7 @@ bool run_memgov_iteration(std::uint64_t seed) {
 
         lls::OptimizeStats stats;
         const auto [optimized, bytes] =
-            run(1 + static_cast<int>(rng.next_below(4)), rng.next_bool(), &stats);
+            run(1 + static_cast<int>(rng.next_below(4)), &stats);
 
         if (!check(verify("memgov lookahead", seed, circuit, optimized))) return false;
         int memgov_faults = 0;
@@ -340,7 +336,7 @@ bool run_memgov_iteration(std::uint64_t seed) {
         // The quota is deterministic: a serial re-run must reproduce the
         // same bytes whatever schedule the first run used.
         lls::OptimizeStats serial_stats;
-        const auto [serial_aig, serial_bytes] = run(1, !rng.next_bool(), &serial_stats);
+        const auto [serial_aig, serial_bytes] = run(1, &serial_stats);
         (void)serial_aig;
         if (bytes != serial_bytes || serial_stats.quota_degraded != stats.quota_degraded) {
             std::fprintf(stderr, "FUZZ FAILURE: quota'd run diverged across job counts at seed "

@@ -1,22 +1,20 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, a budgeted
 # determinism check of the CLI (same circuit + work budget at several
-# --jobs values must produce byte-identical outputs), a shared-BDD-manager
-# identity check (shared and private managers must produce the same bytes
-# at every --jobs value), a batch steal-invariance check (outputs
-# byte-identical across --jobs 1/2/4 x --steal on/off), an intra-cone
-# fan-out invariance check (outputs byte-identical across --jobs 1/2/4 x
-# --intra-cone on/off, budgeted and warm-cache variants included), a
-# per-cone memory-quota determinism check (tight --cone-mem batch runs
-# byte-identical across --jobs x --intra-cone x cold/warm cache, with the
-# full suite re-run under AddressSanitizer), fault-injection
-# and checkpoint/resume checks of the containment subsystem (including a
-# steal-enabled crash/resume cycle), persistent-memo-store checks (warm
-# runs byte-identical to cold across --jobs, corrupted stores degrade to
-# cold start), a graceful-shutdown check (SIGTERM mid-batch must exit with
-# the documented resumable code, leave a valid journal, and --resume must
+# --jobs values must produce byte-identical outputs), a batch
+# jobs-invariance check (outputs byte-identical across --jobs 1/2/4), a
+# don't-care-proof invariance check (outputs byte-identical across
+# --jobs 1/2/4, budgeted and warm-cache variants included), a per-cone
+# memory-quota determinism check (tight --cone-mem batch runs
+# byte-identical across --jobs x cold/warm cache), fault-injection checks
+# with the full suite re-run under AddressSanitizer, checkpoint/resume
+# checks of the containment subsystem (including a --jobs 4 crash/resume
+# cycle), persistent-memo-store checks (warm runs byte-identical to cold
+# across --jobs, corrupted stores degrade to cold start), a
+# graceful-shutdown check (SIGTERM mid-batch must exit with the
+# documented resumable code, leave a valid journal, and --resume must
 # reproduce the uninterrupted bytes), then the concurrency-sensitive
-# engine/cancel/bdd/parse/io/persist tests — including the
+# engine/cancel/parse/io/persist tests — including the
 # nested-parallel_for deadlock regressions in test_thread_pool and the
 # cancellation watchdog paths — under ThreadSanitizer.
 #
@@ -53,125 +51,88 @@ for circuit in tests/data/rca16.blif tests/data/control24.blif; do
     echo "$name: budgeted outputs identical for --jobs 1/2/4"
 done
 
-echo "== stage 2b: shared BDD manager is jobs- and mode-invariant =="
-# The shared concurrent BddManager is an execution knob: with it on, the
-# output must be byte-identical across --jobs AND identical to the private
-# per-call managers (--shared-bdd off), on both regression circuits.
-for circuit in tests/data/rca16.blif tests/data/control24.blif; do
-    name="$(basename "$circuit" .blif)"
-    for j in 1 2 4; do
-        ./build/tools/lls_opt --shared-bdd on --jobs "$j" --iterations 6 \
-            "$circuit" "$WORKDIR/$name.shared.j$j.blif" > /dev/null
-    done
-    ./build/tools/lls_opt --shared-bdd off --jobs 2 --iterations 6 \
-        "$circuit" "$WORKDIR/$name.private.blif" > /dev/null
-    cmp "$WORKDIR/$name.shared.j1.blif" "$WORKDIR/$name.shared.j2.blif"
-    cmp "$WORKDIR/$name.shared.j1.blif" "$WORKDIR/$name.shared.j4.blif"
-    cmp "$WORKDIR/$name.shared.j1.blif" "$WORKDIR/$name.private.blif"
-    echo "$name: shared-BDD outputs identical for --jobs 1/2/4 and to --shared-bdd off"
+echo "== stage 2c: batch outputs are jobs-invariant =="
+# Which worker runs a batch item is an execution detail: batch outputs
+# must be byte-identical across --jobs 1/2/4.
+for j in 1 2 4; do
+    ./build/tools/lls_opt --batch --jobs "$j" --out-dir "$WORKDIR/batch.j$j" \
+        tests/data/rca16.blif tests/data/control24.blif > /dev/null
 done
+for j in 2 4; do
+    for name in rca16 control24; do
+        cmp "$WORKDIR/batch.j1/$name.blif" "$WORKDIR/batch.j$j/$name.blif"
+    done
+done
+echo "batch outputs identical across --jobs 1/2/4"
 
-echo "== stage 2c: batch outputs are jobs- and steal-invariant =="
-# Two-level work stealing is an execution knob: batch outputs must be
-# byte-identical across --jobs 1/2/4 x --steal on/off. The --jobs 1 --steal
-# off corner is the old strictly-serial schedule; --jobs 4 --steal on has
-# freed workers joining other items' cone fan-outs.
+echo "== stage 2d: don't-care proofs are jobs- and cache-invariant =="
+# Batch outputs and budgeted single runs must be byte-identical across
+# --jobs 1/2/4, and a warm persistent-store replay must reproduce the
+# cold bytes at every job count too.
 for j in 1 2 4; do
-    for s in on off; do
-        ./build/tools/lls_opt --batch --jobs "$j" --steal "$s" \
-            --out-dir "$WORKDIR/batch.j$j.$s" \
-            tests/data/rca16.blif tests/data/control24.blif > /dev/null
-    done
+    ./build/tools/lls_opt --batch --jobs "$j" --iterations 6 \
+        --out-dir "$WORKDIR/ic.j$j" \
+        tests/data/rca16.blif tests/data/control24.blif > /dev/null
+    ./build/tools/lls_opt --work-budget 200 --jobs "$j" \
+        --iterations 6 tests/data/rca16.blif "$WORKDIR/ic.budget.j$j.blif" > /dev/null
 done
-for j in 1 2 4; do
-    for s in on off; do
-        for name in rca16 control24; do
-            cmp "$WORKDIR/batch.j1.off/$name.blif" "$WORKDIR/batch.j$j.$s/$name.blif"
-        done
+for j in 2 4; do
+    for name in rca16 control24; do
+        cmp "$WORKDIR/ic.j1/$name.blif" "$WORKDIR/ic.j$j/$name.blif"
     done
-done
-echo "batch outputs identical across --jobs 1/2/4 x --steal on/off"
-
-echo "== stage 2d: intra-cone fan-out is jobs-, mode-, and cache-invariant =="
-# The third scheduling level (per-cube SAT don't-care proofs fanned across
-# the pool) is an execution knob: batch outputs and budgeted single runs
-# must be byte-identical across --jobs 1/2/4 x --intra-cone on/off, and a
-# warm persistent-store replay must reproduce the cold bytes under every
-# combination too.
-for j in 1 2 4; do
-    for m in on off; do
-        ./build/tools/lls_opt --batch --jobs "$j" --intra-cone "$m" --iterations 6 \
-            --out-dir "$WORKDIR/ic.j$j.$m" \
-            tests/data/rca16.blif tests/data/control24.blif > /dev/null
-        ./build/tools/lls_opt --work-budget 200 --jobs "$j" --intra-cone "$m" \
-            --iterations 6 tests/data/rca16.blif "$WORKDIR/ic.budget.j$j.$m.blif" > /dev/null
-    done
-done
-for j in 1 2 4; do
-    for m in on off; do
-        for name in rca16 control24; do
-            cmp "$WORKDIR/ic.j1.off/$name.blif" "$WORKDIR/ic.j$j.$m/$name.blif"
-        done
-        cmp "$WORKDIR/ic.budget.j1.off.blif" "$WORKDIR/ic.budget.j$j.$m.blif"
-    done
+    cmp "$WORKDIR/ic.budget.j1.blif" "$WORKDIR/ic.budget.j$j.blif"
 done
 # Warm-cache variant: populate the persistent store cold, then replay it
-# read-only at several --jobs x --intra-cone combinations.
-ICCACHE="$WORKDIR/intracone_cache"
-./build/tools/lls_opt --cache-dir "$ICCACHE" --jobs 1 --intra-cone off --iterations 6 \
+# read-only at several --jobs values.
+ICCACHE="$WORKDIR/dc_cache"
+./build/tools/lls_opt --cache-dir "$ICCACHE" --jobs 1 --iterations 6 \
     --aiger "$WORKDIR/ic.cold.aag" \
     tests/data/rca16.blif "$WORKDIR/ic.cold.blif" > /dev/null
 for j in 1 4; do
-    for m in on off; do
-        ./build/tools/lls_opt --cache-dir "$ICCACHE" --cache-mode read --jobs "$j" \
-            --intra-cone "$m" --iterations 6 --aiger "$WORKDIR/ic.warm.j$j.$m.aag" \
-            tests/data/rca16.blif "$WORKDIR/ic.warm.j$j.$m.blif" > /dev/null
-        cmp "$WORKDIR/ic.cold.aag" "$WORKDIR/ic.warm.j$j.$m.aag"
-    done
+    ./build/tools/lls_opt --cache-dir "$ICCACHE" --cache-mode read --jobs "$j" \
+        --iterations 6 --aiger "$WORKDIR/ic.warm.j$j.aag" \
+        tests/data/rca16.blif "$WORKDIR/ic.warm.j$j.blif" > /dev/null
+    cmp "$WORKDIR/ic.cold.aag" "$WORKDIR/ic.warm.j$j.aag"
 done
-echo "intra-cone outputs identical across --jobs 1/2/4 x on/off, budgeted + warm cache"
+echo "outputs identical across --jobs 1/2/4, budgeted + warm cache"
 
 echo "== stage 2e: per-cone memory quota degrades deterministically =="
 # The Tier-1 memory quota's core claim: a tight --cone-mem must trip at
-# identical program points whatever the job count, intra-cone setting, or
-# cache state — batch outputs byte-identical across --jobs 1/2/4 x
-# --intra-cone on/off x cold/warm persistent cache, with at least one cone
-# actually degraded (the quota is calibrated to fire on rca16).
+# identical program points whatever the job count or cache state — batch
+# outputs byte-identical across --jobs 1/2/4 x cold/warm persistent cache,
+# with at least one cone actually degraded (the quota is calibrated to
+# fire on rca16).
 MEMCACHE="$WORKDIR/memgov_cache"
 # Seed run: populates the persistent store (quota-degraded evaluations
 # memoize and persist like any deterministic fault) and is the byte
 # reference for every later combination.
 ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M --jobs 1 \
-    --intra-cone on --iterations 6 --cache-dir "$MEMCACHE" \
+    --iterations 6 --cache-dir "$MEMCACHE" \
     --out-dir "$WORKDIR/mg.seed" \
     tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.seed.log"
 grep -q "memgov" "$WORKDIR/mg.seed.log" || {
     echo "expected at least one memgov-degraded cone under --cone-mem 4M"; exit 1; }
 for j in 1 2 4; do
-    for m in on off; do
-        ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
-            --jobs "$j" --intra-cone "$m" --iterations 6 \
-            --out-dir "$WORKDIR/mg.j$j.$m.cold" \
-            tests/data/rca16.blif tests/data/control24.blif \
-            > "$WORKDIR/mg.j$j.$m.cold.log"
-        ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
-            --jobs "$j" --intra-cone "$m" --iterations 6 \
-            --cache-dir "$MEMCACHE" --cache-mode read \
-            --out-dir "$WORKDIR/mg.j$j.$m.warm" \
-            tests/data/rca16.blif tests/data/control24.blif \
-            > "$WORKDIR/mg.j$j.$m.warm.log"
-    done
+    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
+        --jobs "$j" --iterations 6 \
+        --out-dir "$WORKDIR/mg.j$j.cold" \
+        tests/data/rca16.blif tests/data/control24.blif \
+        > "$WORKDIR/mg.j$j.cold.log"
+    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
+        --jobs "$j" --iterations 6 \
+        --cache-dir "$MEMCACHE" --cache-mode read \
+        --out-dir "$WORKDIR/mg.j$j.warm" \
+        tests/data/rca16.blif tests/data/control24.blif \
+        > "$WORKDIR/mg.j$j.warm.log"
 done
 for j in 1 2 4; do
-    for m in on off; do
-        for pass in cold warm; do
-            for name in rca16 control24; do
-                cmp "$WORKDIR/mg.seed/$name.blif" "$WORKDIR/mg.j$j.$m.$pass/$name.blif"
-            done
+    for pass in cold warm; do
+        for name in rca16 control24; do
+            cmp "$WORKDIR/mg.seed/$name.blif" "$WORKDIR/mg.j$j.$pass/$name.blif"
         done
     done
 done
-echo "quota'd outputs identical across --jobs 1/2/4 x --intra-cone on/off x cold/warm"
+echo "quota'd outputs identical across --jobs 1/2/4 x cold/warm"
 
 echo "== stage 3: fault injection never aborts and stays jobs-invariant =="
 # Every engine site class, injected on the regression circuits: the run must
@@ -226,20 +187,20 @@ cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed/rca16.blif"
 cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed/control24.blif"
 echo "checkpoint/resume outputs identical to uninterrupted run"
 
-# The same crash/resume cycle with stealing enabled and more workers than
-# items: an interrupted steal-enabled batch must resume byte-identical too.
+# The same crash/resume cycle with more workers than items: an
+# interrupted --jobs 4 batch must resume byte-identical too.
 rc=0
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-steal" --jobs 4 --steal on \
-    --checkpoint "$WORKDIR/ckpt-steal.txt" \
+    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
+    --checkpoint "$WORKDIR/ckpt-j4.txt" \
     --fault-inject fatal@batch:1 > /dev/null 2>&1 || rc=$?
 [[ "$rc" == 42 ]] || { echo "expected simulated crash exit 42, got $rc"; exit 1; }
 ./build/tools/lls_opt --batch tests/data/rca16.blif tests/data/control24.blif \
-    --out-dir "$WORKDIR/resumed-steal" --jobs 4 --steal on \
-    --checkpoint "$WORKDIR/ckpt-steal.txt" --resume > /dev/null
-cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-steal/rca16.blif"
-cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-steal/control24.blif"
-echo "steal-enabled checkpoint/resume outputs identical to uninterrupted run"
+    --out-dir "$WORKDIR/resumed-j4" --jobs 4 \
+    --checkpoint "$WORKDIR/ckpt-j4.txt" --resume > /dev/null
+cmp "$WORKDIR/full/rca16.blif" "$WORKDIR/resumed-j4/rca16.blif"
+cmp "$WORKDIR/full/control24.blif" "$WORKDIR/resumed-j4/control24.blif"
+echo "--jobs 4 checkpoint/resume outputs identical to uninterrupted run"
 
 echo "== stage 4b: persistent store warm runs are byte-identical =="
 # Cold run populates the cache directory; warm runs at several --jobs
@@ -326,14 +287,12 @@ if [[ "$SKIP_TSAN" == 1 ]]; then
     exit 0
 fi
 
-echo "== stage 5: engine + cancel + shared-BDD + persist tests under ThreadSanitizer =="
-# test_engine includes the intra-cone stress test: many concurrent per-cube
-# SAT fan-outs from multiple batch items draining one shared pool.
+echo "== stage 5: engine + cancel + persist tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
     --target test_thread_pool test_engine test_parse test_cancel test_io \
-             test_bdd_concurrent test_cache test_persist
-(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_cancel|test_io|test_bdd_concurrent|test_cache|test_persist' \
+             test_cache test_persist
+(cd build-tsan && ctest -R 'test_thread_pool|test_engine|test_parse|test_cancel|test_io|test_cache|test_persist' \
     --output-on-failure)
 
 echo "== all checks passed =="
