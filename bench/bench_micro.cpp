@@ -1,8 +1,14 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
-// tables, ISOP/minimum-SOP, AIG construction, cut enumeration, simulation,
-// floating-mode timing simulation, SAT, CEC, and the baseline passes.
+// tables (operators, permutation, cut-function expansion), ISOP/minimum-SOP,
+// AIG construction, cut enumeration, simulation, floating-mode timing
+// simulation, SAT, CEC, and the baseline passes.
+//
+//   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <string>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -11,6 +17,7 @@
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "lookahead/decompose.hpp"
+#include "sat/solver.hpp"
 #include "sim/simulation.hpp"
 #include "sop/sop.hpp"
 
@@ -67,14 +74,79 @@ void BM_AigConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_AigConstruction)->Arg(16)->Arg(64);
 
-void BM_CutEnumeration(benchmark::State& state) {
-    const Aig adder = ripple_carry_adder(static_cast<int>(state.range(0)));
+void BM_Permute(benchmark::State& state) {
+    Rng rng(8);
+    const int n = static_cast<int>(state.range(0));
+    std::vector<TruthTable> tts;
+    std::vector<std::vector<int>> perms;
+    for (int i = 0; i < 32; ++i) {
+        tts.push_back(random_tt(n, rng));
+        std::vector<int> perm(static_cast<std::size_t>(n));
+        for (int v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+        for (int v = n - 1; v > 0; --v)
+            std::swap(perm[static_cast<std::size_t>(v)],
+                      perm[rng.next_below(static_cast<std::uint64_t>(v) + 1)]);
+        perms.push_back(std::move(perm));
+    }
+    std::size_t i = 0;
     for (auto _ : state) {
-        CutEnumerator cuts(adder, 5, 8);
-        benchmark::DoNotOptimize(cuts.cuts(static_cast<std::uint32_t>(adder.num_nodes()) - 1));
+        const std::size_t k = i++ % tts.size();
+        benchmark::DoNotOptimize(tts[k].permute(perms[k]));
     }
 }
-BENCHMARK(BM_CutEnumeration)->Arg(16)->Arg(64);
+BENCHMARK(BM_Permute)->Arg(4)->Arg(8)->Arg(12);
+
+// The cut-merge shape of restructuring: a fanin cut function over
+// `range(0)` leaves re-expressed over a merged cut of `range(1)` leaves.
+void BM_ExpandTruthTable(benchmark::State& state) {
+    Rng rng(9);
+    const int n_old = static_cast<int>(state.range(0));
+    const int n_new = static_cast<int>(state.range(1));
+    struct Shape {
+        TruthTable tt;
+        std::vector<std::uint32_t> old_leaves, new_leaves;
+    };
+    std::vector<Shape> shapes;
+    for (int i = 0; i < 32; ++i) {
+        Shape s;
+        s.tt = random_tt(n_old, rng);
+        for (int v = 0; v < n_new; ++v) s.new_leaves.push_back(static_cast<std::uint32_t>(10 * v));
+        // A random sorted n_old-subset of the new leaves.
+        std::vector<std::uint32_t> pool = s.new_leaves;
+        for (int v = 0; v < n_old; ++v) {
+            const auto j = v + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n_new - v)));
+            std::swap(pool[static_cast<std::size_t>(v)], pool[static_cast<std::size_t>(j)]);
+        }
+        s.old_leaves.assign(pool.begin(), pool.begin() + n_old);
+        std::sort(s.old_leaves.begin(), s.old_leaves.end());
+        shapes.push_back(std::move(s));
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const Shape& s = shapes[i++ % shapes.size()];
+        benchmark::DoNotOptimize(expand_truth_table(s.tt, s.old_leaves, s.new_leaves));
+    }
+}
+BENCHMARK(BM_ExpandTruthTable)->Args({4, 8})->Args({6, 8})->Args({7, 8});
+
+void BM_CutEnumeration(benchmark::State& state, const Aig& aig, int cut_size, int max_cuts) {
+    for (auto _ : state) {
+        CutEnumerator cuts(aig, cut_size, max_cuts);
+        benchmark::DoNotOptimize(cuts.cuts(static_cast<std::uint32_t>(aig.num_nodes()) - 1));
+    }
+}
+
+Aig table2_control(const std::string& name) {
+    for (const auto& p : table2_profiles())
+        if (p.name == name) return synthetic_control_circuit(p);
+    return Aig{};
+}
+
+// Lookahead network extraction (5-cuts) on adders; baseline restructuring
+// (8-cuts, 6 per node) on a Table 2 control stand-in.
+BENCHMARK_CAPTURE(BM_CutEnumeration, rca16_k5, ripple_carry_adder(16), 5, 8);
+BENCHMARK_CAPTURE(BM_CutEnumeration, rca64_k5, ripple_carry_adder(64), 5, 8);
+BENCHMARK_CAPTURE(BM_CutEnumeration, C880_k8, table2_control("C880"), 8, 6);
 
 void BM_Simulation(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(32);
@@ -105,6 +177,32 @@ void BM_SatAdderMiter(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SatAdderMiter)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_SatPigeonhole(benchmark::State& state) {
+    // php(holes + 1, holes): UNSAT, and hard enough that decisions,
+    // propagation and conflict analysis all dominate in turn.
+    const int holes = static_cast<int>(state.range(0));
+    const int pigeons = holes + 1;
+    for (auto _ : state) {
+        sat::Solver s;
+        std::vector<std::vector<int>> v(static_cast<std::size_t>(pigeons),
+                                        std::vector<int>(static_cast<std::size_t>(holes)));
+        for (auto& row : v)
+            for (auto& x : row) x = s.new_var();
+        for (const auto& row : v) {
+            std::vector<sat::Lit> clause;
+            for (const int x : row) clause.push_back(sat::Lit(x, false));
+            s.add_clause(clause);
+        }
+        for (int h = 0; h < holes; ++h)
+            for (int p1 = 0; p1 < pigeons; ++p1)
+                for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                    s.add_clause(sat::Lit(v[static_cast<std::size_t>(p1)][static_cast<std::size_t>(h)], true),
+                                 sat::Lit(v[static_cast<std::size_t>(p2)][static_cast<std::size_t>(h)], true));
+        benchmark::DoNotOptimize(s.solve());
+    }
+}
+BENCHMARK(BM_SatPigeonhole)->Arg(7)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_SatSweep(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(16);

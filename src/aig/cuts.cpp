@@ -7,29 +7,22 @@ namespace lls {
 TruthTable expand_truth_table(const TruthTable& tt, const std::vector<std::uint32_t>& old_leaves,
                               const std::vector<std::uint32_t>& new_leaves) {
     LLS_REQUIRE(static_cast<int>(old_leaves.size()) == tt.num_vars());
-    const int n_new = static_cast<int>(new_leaves.size());
-    TruthTable extended = tt.extend(n_new);
-
-    // perm[j] = old variable read by new variable j. Old variable i must land
-    // at the position of old_leaves[i] within new_leaves; vacuous extended
-    // variables fill the remaining slots.
-    std::vector<int> perm(static_cast<std::size_t>(n_new), -1);
-    std::vector<char> used(static_cast<std::size_t>(n_new), 0);
-    for (int i = 0; i < static_cast<int>(old_leaves.size()); ++i) {
-        const auto it = std::lower_bound(new_leaves.begin(), new_leaves.end(), old_leaves[i]);
-        LLS_REQUIRE(it != new_leaves.end() && *it == old_leaves[i]);
-        const auto pos = static_cast<std::size_t>(it - new_leaves.begin());
-        perm[pos] = i;
-        used[static_cast<std::size_t>(i)] = 1;
+    TruthTable expanded = tt.extend(static_cast<int>(new_leaves.size()));
+    // Stretch: old variable i moves up to the slot of old_leaves[i] within
+    // new_leaves, which is at least i because the old leaves are a sorted
+    // subset. Placing the top variable first, each target slot still holds
+    // a vacuous extended variable when it is reached.
+    int slot = static_cast<int>(new_leaves.size());
+    for (int i = tt.num_vars() - 1; i >= 0; --i) {
+        const std::uint32_t leaf = old_leaves[static_cast<std::size_t>(i)];
+        do {
+            LLS_REQUIRE(slot > i && "old leaves must be a subset of the new leaves");
+            --slot;
+        } while (new_leaves[static_cast<std::size_t>(slot)] > leaf);
+        LLS_REQUIRE(new_leaves[static_cast<std::size_t>(slot)] == leaf);
+        expanded.swap_in_place(i, slot);
     }
-    int next_free = 0;
-    for (auto& p : perm) {
-        if (p >= 0) continue;
-        while (used[static_cast<std::size_t>(next_free)]) ++next_free;
-        p = next_free;
-        used[static_cast<std::size_t>(next_free)] = 1;
-    }
-    return extended.permute(perm);
+    return expanded;
 }
 
 namespace {

@@ -55,6 +55,8 @@ int Solver::new_var() {
     reason_.push_back(-1);
     phase_.push_back(0);
     activity_.push_back(0.0);
+    order_pos_.push_back(-1);
+    order_insert(v);
     seen_.push_back(0);
     model_.push_back(0);
     watches_.resize(2 * assign_.size());
@@ -167,6 +169,11 @@ void Solver::bump_var(int var) {
     if (activity_[var] > 1e100) {
         for (auto& a : activity_) a *= 1e-100;
         var_inc_ *= 1e-100;
+        // Scaling can round distinct activities to equal ones, whose order
+        // then falls to the index tie-break: re-heapify everything.
+        for (std::size_t i = order_heap_.size() / 2; i-- > 0;) order_sift_down(i);
+    } else if (order_pos_[var] >= 0) {
+        order_sift_up(static_cast<std::size_t>(order_pos_[var]));
     }
 }
 
@@ -262,6 +269,7 @@ void Solver::backtrack(int level) {
         const int v = trail_[i - 1].var();
         assign_[v] = kUndef;
         reason_[v] = -1;
+        order_insert(v);
     }
     trail_.resize(bound);
     trail_lim_.resize(static_cast<std::size_t>(level));
@@ -269,17 +277,56 @@ void Solver::backtrack(int level) {
 }
 
 Lit Solver::pick_branch() {
-    int best = -1;
-    double best_act = -1.0;
-    for (int v = 0; v < num_vars(); ++v) {
-        if (assign_[v] != kUndef) continue;
-        if (activity_[v] > best_act) {
-            best_act = activity_[v];
-            best = v;
-        }
+    while (!order_heap_.empty()) {
+        const int v = order_heap_[0];
+        if (assign_[v] == kUndef) return Lit(v, phase_[v] == 0);
+        order_pop();
     }
-    if (best == -1) return Lit{};
-    return Lit(best, phase_[best] == 0);
+    return Lit{};
+}
+
+void Solver::order_insert(int var) {
+    if (order_pos_[var] >= 0) return;
+    order_pos_[var] = static_cast<int>(order_heap_.size());
+    order_heap_.push_back(var);
+    order_sift_up(order_heap_.size() - 1);
+}
+
+void Solver::order_pop() {
+    order_pos_[order_heap_[0]] = -1;
+    const int last = order_heap_.back();
+    order_heap_.pop_back();
+    if (order_heap_.empty()) return;
+    order_heap_[0] = last;
+    order_sift_down(0);
+}
+
+void Solver::order_sift_up(std::size_t pos) {
+    const int var = order_heap_[pos];
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!branches_before(var, order_heap_[parent])) break;
+        order_heap_[pos] = order_heap_[parent];
+        order_pos_[order_heap_[pos]] = static_cast<int>(pos);
+        pos = parent;
+    }
+    order_heap_[pos] = var;
+    order_pos_[var] = static_cast<int>(pos);
+}
+
+void Solver::order_sift_down(std::size_t pos) {
+    const int var = order_heap_[pos];
+    const std::size_t n = order_heap_.size();
+    while (2 * pos + 1 < n) {
+        std::size_t child = 2 * pos + 1;
+        if (child + 1 < n && branches_before(order_heap_[child + 1], order_heap_[child])) ++child;
+        if (!branches_before(order_heap_[child], var)) break;
+        order_heap_[pos] = order_heap_[child];
+        order_pos_[order_heap_[pos]] = static_cast<int>(pos);
+        pos = child;
+    }
+    order_heap_[pos] = var;
+    order_pos_[var] = static_cast<int>(pos);
 }
 
 std::int64_t Solver::luby(std::int64_t i) {

@@ -118,6 +118,14 @@ private:
     void analyze(int confl, std::vector<Lit>* learned, int* backtrack_level);
     void backtrack(int level);
     Lit pick_branch();
+    /// Decision order: higher activity first, ties to the lower index.
+    bool branches_before(int a, int b) const {
+        return activity_[a] > activity_[b] || (activity_[a] == activity_[b] && a < b);
+    }
+    void order_insert(int var);
+    void order_pop();
+    void order_sift_up(std::size_t pos);
+    void order_sift_down(std::size_t pos);
     void bump_var(int var);
     void bump_clause(int ci);
     void decay_activities();
@@ -136,6 +144,11 @@ private:
     std::vector<int> reason_;                    // clause index or -1
     std::vector<char> phase_;                    // saved phase per var
     std::vector<double> activity_;
+    // Binary heap of branching candidates under branches_before(). Every
+    // unassigned variable is in it; assigned ones leave lazily when they
+    // reach the top in pick_branch() and return on backtrack.
+    std::vector<int> order_heap_;
+    std::vector<int> order_pos_;  // per var: index in order_heap_, or -1
     std::vector<Lit> trail_;
     std::vector<int> trail_lim_;
     std::vector<char> seen_;

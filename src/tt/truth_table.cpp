@@ -8,13 +8,6 @@ namespace lls {
 
 namespace {
 
-// Masks for sub-word variable manipulation: kVarMask[v] has bit b set iff
-// bit v of b is 1, i.e. the truth table of variable v within one word.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
 int hex_digit(char c) {
     if (c >= '0' && c <= '9') return c - '0';
     if (c >= 'a' && c <= 'f') return c - 'a' + 10;
@@ -33,21 +26,26 @@ TruthTable TruthTable::from_hex(int num_vars, const std::string& hex) {
     // hex[0] is the most significant nibble.
     for (std::size_t i = 0; i < digits; ++i) {
         const std::uint64_t nibble = static_cast<std::uint64_t>(hex_digit(hex[digits - 1 - i]));
-        tt.words_[i / 16] |= nibble << (4 * (i % 16));
+        tt.data()[i / 16] |= nibble << (4 * (i % 16));
     }
     tt.mask_tail();
     return tt;
 }
 
 bool TruthTable::is_const0() const {
-    return std::all_of(words_.begin(), words_.end(), [](std::uint64_t w) { return w == 0; });
+    const auto words = span();
+    return std::all_of(words.begin(), words.end(), [](std::uint64_t w) { return w == 0; });
 }
 
-bool TruthTable::is_const1() const { return *this == constant(num_vars_, true); }
+bool TruthTable::is_const1() const {
+    if (num_vars_ < 6) return data()[0] == (1ULL << (1 << num_vars_)) - 1;
+    const auto words = span();
+    return std::all_of(words.begin(), words.end(), [](std::uint64_t w) { return w == ~0ULL; });
+}
 
 std::uint64_t TruthTable::count_ones() const {
     std::uint64_t n = 0;
-    for (auto w : words_) n += static_cast<std::uint64_t>(popcount64(w));
+    for (auto w : span()) n += static_cast<std::uint64_t>(popcount64(w));
     return n;
 }
 
@@ -56,20 +54,21 @@ bool TruthTable::has_var(int var) const {
     if (var >= num_vars_) return false;
     if (var < 6) {
         const int shift = 1 << var;
-        for (auto w : words_)
+        for (auto w : span())
             if (((w >> shift) ^ w) & ~kVarMask[var]) return true;
         return false;
     }
+    const auto words = span();
     const std::size_t stride = std::size_t{1} << (var - 6);
-    for (std::size_t base = 0; base < words_.size(); base += 2 * stride)
+    for (std::size_t base = 0; base < words.size(); base += 2 * stride)
         for (std::size_t i = 0; i < stride; ++i)
-            if (words_[base + i] != words_[base + stride + i]) return true;
+            if (words[base + i] != words[base + stride + i]) return true;
     return false;
 }
 
 TruthTable TruthTable::operator~() const {
     TruthTable r(*this);
-    for (auto& w : r.words_) w = ~w;
+    for (auto& w : r.span()) w = ~w;
     r.mask_tail();
     return r;
 }
@@ -77,37 +76,45 @@ TruthTable TruthTable::operator~() const {
 TruthTable TruthTable::operator&(const TruthTable& other) const {
     check_compatible(other);
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] &= other.words_[i];
+    const auto rw = r.span();
+    const auto ow = other.span();
+    for (std::size_t i = 0; i < rw.size(); ++i) rw[i] &= ow[i];
     return r;
 }
 
 TruthTable TruthTable::operator|(const TruthTable& other) const {
     check_compatible(other);
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] |= other.words_[i];
+    const auto rw = r.span();
+    const auto ow = other.span();
+    for (std::size_t i = 0; i < rw.size(); ++i) rw[i] |= ow[i];
     return r;
 }
 
 TruthTable TruthTable::operator^(const TruthTable& other) const {
     check_compatible(other);
     TruthTable r(*this);
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] ^= other.words_[i];
+    const auto rw = r.span();
+    const auto ow = other.span();
+    for (std::size_t i = 0; i < rw.size(); ++i) rw[i] ^= ow[i];
     return r;
 }
 
 bool TruthTable::implies(const TruthTable& other) const {
     check_compatible(other);
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        if (words_[i] & ~other.words_[i]) return false;
+    const auto a = span(), b = other.span();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (a[i] & ~b[i]) return false;
     return true;
 }
 
 TruthTable TruthTable::cofactor(int var, bool polarity) const {
     LLS_REQUIRE(var >= 0 && var < num_vars_);
     TruthTable r(*this);
+    const auto words = r.span();
     if (var < 6) {
         const int shift = 1 << var;
-        for (auto& w : r.words_) {
+        for (auto& w : words) {
             if (polarity) {
                 const std::uint64_t hi = w & kVarMask[var];
                 w = hi | (hi >> shift);
@@ -118,40 +125,75 @@ TruthTable TruthTable::cofactor(int var, bool polarity) const {
         }
     } else {
         const std::size_t stride = std::size_t{1} << (var - 6);
-        for (std::size_t base = 0; base < words_.size(); base += 2 * stride)
+        for (std::size_t base = 0; base < words.size(); base += 2 * stride)
             for (std::size_t i = 0; i < stride; ++i) {
-                const std::uint64_t v =
-                    polarity ? r.words_[base + stride + i] : r.words_[base + i];
-                r.words_[base + i] = v;
-                r.words_[base + stride + i] = v;
+                const std::uint64_t v = polarity ? words[base + stride + i] : words[base + i];
+                words[base + i] = v;
+                words[base + stride + i] = v;
             }
     }
     return r;
 }
 
 TruthTable TruthTable::swap_vars(int a, int b) const {
+    TruthTable r(*this);
+    r.swap_in_place(a, b);
+    return r;
+}
+
+void TruthTable::swap_in_place(int a, int b) {
     LLS_REQUIRE(a >= 0 && a < num_vars_ && b >= 0 && b < num_vars_);
-    if (a == b) return *this;
-    std::vector<int> perm(num_vars_);
-    for (int i = 0; i < num_vars_; ++i) perm[i] = i;
-    std::swap(perm[a], perm[b]);
-    return permute(perm);
+    if (a == b) return;
+    if (a > b) std::swap(a, b);
+    const auto words = span();
+    if (b < 6) {
+        // Both inside a word: exchange the bits where (x_a, x_b) = (1, 0)
+        // with their partners (0, 1), which sit 2^b - 2^a positions higher.
+        const int shift = (1 << b) - (1 << a);
+        const std::uint64_t low = kVarMask[a] & ~kVarMask[b];
+        for (auto& w : words) {
+            const std::uint64_t t = ((w >> shift) ^ w) & low;
+            w ^= t | (t << shift);
+        }
+    } else if (a < 6) {
+        // x_a inside a word, x_b across words: the x_b = 0 word of each pair
+        // trades its x_a = 1 bits for the x_a = 0 bits of the x_b = 1 word.
+        const int shift = 1 << a;
+        const std::size_t stride = std::size_t{1} << (b - 6);
+        for (std::size_t base = 0; base < words.size(); base += 2 * stride)
+            for (std::size_t i = base; i < base + stride; ++i) {
+                const std::uint64_t t = ((words[i] >> shift) ^ words[i + stride]) & ~kVarMask[a];
+                words[i] ^= t << shift;
+                words[i + stride] ^= t;
+            }
+    } else {
+        // Both across words: swap whole words.
+        const std::size_t sa = std::size_t{1} << (a - 6);
+        const std::size_t sb = std::size_t{1} << (b - 6);
+        for (std::size_t i = 0; i < words.size(); ++i)
+            if ((i & sa) && !(i & sb)) std::swap(words[i], words[i - sa + sb]);
+    }
 }
 
 TruthTable TruthTable::permute(const std::vector<int>& perm) const {
     LLS_REQUIRE(static_cast<int>(perm.size()) == num_vars_);
-    TruthTable r(num_vars_);
-    // General (slow-path) permutation by minterm remapping; local functions
-    // are small so this is never a bottleneck.
-    const std::uint64_t n = num_minterms();
-    for (std::uint64_t m = 0; m < n; ++m) {
-        if (!get_bit(m)) continue;
-        // Minterm m assigns old variable perm[i] the bit that the new table
-        // reads as variable i; build the new index from the old assignment.
-        std::uint64_t nm = 0;
-        for (int i = 0; i < num_vars_; ++i)
-            if ((m >> perm[i]) & 1) nm |= std::uint64_t{1} << i;
-        r.set_bit(nm, true);
+    TruthTable r(*this);
+    // Selection by swaps: at[j] is the old variable now at position j and
+    // where[v] the position of old variable v. Position i is final once it
+    // holds perm[i], so at most num_vars - 1 swaps are needed.
+    int at[kMaxVars];
+    int where[kMaxVars];
+    for (int j = 0; j < num_vars_; ++j) at[j] = where[j] = j;
+    for (int i = 0; i < num_vars_; ++i) {
+        const int v = perm[static_cast<std::size_t>(i)];
+        LLS_REQUIRE(v >= 0 && v < num_vars_ && where[v] >= i && "perm must be a permutation");
+        const int j = where[v];
+        if (j == i) continue;
+        r.swap_in_place(i, j);
+        at[j] = at[i];
+        where[at[j]] = j;
+        at[i] = v;
+        where[v] = i;
     }
     return r;
 }
@@ -163,11 +205,13 @@ TruthTable TruthTable::extend(int new_num_vars) const {
     if (num_vars_ < 6) {
         // Replicate the low 2^num_vars_ bits across the first word, then all
         // words.
-        std::uint64_t w = words_[0];
+        std::uint64_t w = data()[0];
         for (int width = 1 << num_vars_; width < 64; width *= 2) w |= w << width;
-        for (auto& rw : r.words_) rw = w;
+        for (auto& rw : r.span()) rw = w;
     } else {
-        for (std::size_t i = 0; i < r.words_.size(); ++i) r.words_[i] = words_[i % words_.size()];
+        const auto words = span();
+        const auto rw = r.span();
+        for (std::size_t i = 0; i < rw.size(); ++i) rw[i] = words[i % words.size()];
     }
     r.mask_tail();
     return r;
@@ -178,7 +222,7 @@ TruthTable TruthTable::shrink(int new_num_vars) const {
     for (int v = new_num_vars; v < num_vars_; ++v)
         LLS_REQUIRE(!has_var(v) && "cannot shrink away a support variable");
     TruthTable r(new_num_vars);
-    for (std::size_t i = 0; i < r.words_.size(); ++i) r.words_[i] = words_[i];
+    std::copy_n(data(), r.word_count(), r.data());
     r.mask_tail();
     return r;
 }
@@ -189,7 +233,7 @@ std::string TruthTable::to_hex() const {
     std::string s(digits, '0');
     static const char* kHex = "0123456789abcdef";
     for (std::size_t i = 0; i < digits; ++i) {
-        const int nibble = static_cast<int>((words_[i / 16] >> (4 * (i % 16))) & 0xf);
+        const int nibble = static_cast<int>((data()[i / 16] >> (4 * (i % 16))) & 0xf);
         s[digits - 1 - i] = kHex[nibble];
     }
     return s;
@@ -205,7 +249,7 @@ std::string TruthTable::to_binary() const {
 
 std::uint64_t TruthTable::hash() const {
     std::uint64_t h = 0xcbf29ce484222325ULL ^ static_cast<std::uint64_t>(num_vars_);
-    for (auto w : words_) {
+    for (auto w : span()) {
         h ^= w;
         h *= 0x100000001b3ULL;
         h ^= h >> 29;

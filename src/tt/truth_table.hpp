@@ -1,6 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,22 +16,52 @@ namespace lls {
 /// (variable 0 is the least significant bit of the minterm index).
 /// Supports up to 20 variables (1 Mi bits = 16 Ki words); the synthesis
 /// algorithms only ever build local functions of at most ~12 variables.
+/// Tables of at most kInlineVars variables (the cut size) keep their words
+/// inline, so cut and ISOP tables never touch the heap; larger tables
+/// own a heap array.
 class TruthTable {
 public:
     static constexpr int kMaxVars = 20;
+    static constexpr int kInlineVars = 8;
 
-    TruthTable() : num_vars_(0), words_(1, 0) {}
+    TruthTable() : num_vars_(0) {}
 
     explicit TruthTable(int num_vars) : num_vars_(num_vars) {
         LLS_REQUIRE(num_vars >= 0 && num_vars <= kMaxVars);
-        words_.assign(word_count(num_vars), 0);
+        if (!is_inline()) heap_ = new std::uint64_t[word_count()]();
     }
+
+    TruthTable(const TruthTable& other) : num_vars_(other.num_vars_) {
+        if (is_inline()) {
+            std::copy(other.inline_, other.inline_ + kInlineWords, inline_);
+        } else {
+            heap_ = new std::uint64_t[word_count()];
+            std::copy(other.heap_, other.heap_ + word_count(), heap_);
+        }
+    }
+
+    TruthTable(TruthTable&& other) noexcept { take(other); }
+
+    TruthTable& operator=(const TruthTable& other) {
+        if (this != &other) *this = TruthTable(other);
+        return *this;
+    }
+
+    TruthTable& operator=(TruthTable&& other) noexcept {
+        if (this != &other) {
+            release();
+            take(other);
+        }
+        return *this;
+    }
+
+    ~TruthTable() { release(); }
 
     /// Truth table of constant `value` over `num_vars` variables.
     static TruthTable constant(int num_vars, bool value) {
         TruthTable tt(num_vars);
         if (value) {
-            for (auto& w : tt.words_) w = ~0ULL;
+            for (auto& w : tt.span()) w = ~0ULL;
             tt.mask_tail();
         }
         return tt;
@@ -40,16 +72,12 @@ public:
         LLS_REQUIRE(var >= 0 && var < num_vars);
         TruthTable tt(num_vars);
         if (var < 6) {
-            // Periodic pattern within one word.
-            std::uint64_t pattern = 0;
-            const int period = 1 << (var + 1);
-            for (int b = 0; b < 64; ++b)
-                if (b % period >= (1 << var)) pattern |= 1ULL << b;
-            for (auto& w : tt.words_) w = pattern;
+            for (auto& w : tt.span()) w = kVarMask[var];
         } else {
             const std::size_t stride = std::size_t{1} << (var - 6);
-            for (std::size_t i = 0; i < tt.words_.size(); ++i)
-                if ((i / stride) & 1) tt.words_[i] = ~0ULL;
+            const auto words = tt.span();
+            for (std::size_t i = 0; i < words.size(); ++i)
+                if ((i / stride) & 1) words[i] = ~0ULL;
         }
         tt.mask_tail();
         return tt;
@@ -61,20 +89,19 @@ public:
 
     int num_vars() const { return num_vars_; }
     std::uint64_t num_minterms() const { return std::uint64_t{1} << num_vars_; }
-    std::size_t word_count() const { return words_.size(); }
-    const std::vector<std::uint64_t>& words() const { return words_; }
+    std::size_t word_count() const { return word_count(num_vars_); }
 
     bool get_bit(std::uint64_t minterm) const {
         LLS_DCHECK(minterm < num_minterms());
-        return (words_[minterm >> 6] >> (minterm & 63)) & 1;
+        return (data()[minterm >> 6] >> (minterm & 63)) & 1;
     }
 
     void set_bit(std::uint64_t minterm, bool value) {
         LLS_DCHECK(minterm < num_minterms());
         if (value)
-            words_[minterm >> 6] |= 1ULL << (minterm & 63);
+            data()[minterm >> 6] |= 1ULL << (minterm & 63);
         else
-            words_[minterm >> 6] &= ~(1ULL << (minterm & 63));
+            data()[minterm >> 6] &= ~(1ULL << (minterm & 63));
     }
 
     bool is_const0() const;
@@ -88,7 +115,10 @@ public:
     TruthTable operator&(const TruthTable& other) const;
     TruthTable operator|(const TruthTable& other) const;
     TruthTable operator^(const TruthTable& other) const;
-    bool operator==(const TruthTable& other) const = default;
+    bool operator==(const TruthTable& other) const {
+        const auto a = span(), b = other.span();
+        return num_vars_ == other.num_vars_ && std::equal(a.begin(), a.end(), b.begin());
+    }
 
     TruthTable& operator&=(const TruthTable& o) { return *this = *this & o; }
     TruthTable& operator|=(const TruthTable& o) { return *this = *this | o; }
@@ -107,6 +137,9 @@ public:
 
     /// Swaps two variables.
     TruthTable swap_vars(int a, int b) const;
+
+    /// Swaps two variables in place with word-parallel delta swaps.
+    void swap_in_place(int a, int b);
 
     /// Reorders variables: new variable i is old variable perm[i].
     TruthTable permute(const std::vector<int>& perm) const;
@@ -127,12 +160,45 @@ public:
     std::uint64_t hash() const;
 
 private:
+    static constexpr std::size_t kInlineWords = std::size_t{1} << (kInlineVars - 6);
+
+    // kVarMask[v] has bit b set iff bit v of b is 1, i.e. the truth table of
+    // variable v within one word.
+    static constexpr std::uint64_t kVarMask[6] = {
+        0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+        0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+    };
+
     static std::size_t word_count(int num_vars) {
         return num_vars <= 6 ? 1 : (std::size_t{1} << (num_vars - 6));
     }
 
+    bool is_inline() const { return num_vars_ <= kInlineVars; }
+    std::uint64_t* data() { return is_inline() ? inline_ : heap_; }
+    const std::uint64_t* data() const { return is_inline() ? inline_ : heap_; }
+    std::span<std::uint64_t> span() { return {data(), word_count()}; }
+    std::span<const std::uint64_t> span() const { return {data(), word_count()}; }
+
+    void release() {
+        if (!is_inline()) delete[] heap_;
+    }
+
+    /// Moves `other`'s words here (this must hold no heap array) and leaves
+    /// `other` the empty 0-variable table. Element-wise assignment makes
+    /// `inline_` the active union member again where `heap_` was.
+    void take(TruthTable& other) noexcept {
+        num_vars_ = other.num_vars_;
+        if (is_inline()) {
+            for (std::size_t i = 0; i < kInlineWords; ++i) inline_[i] = other.inline_[i];
+        } else {
+            heap_ = other.heap_;
+            other.num_vars_ = 0;
+            for (std::size_t i = 0; i < kInlineWords; ++i) other.inline_[i] = 0;
+        }
+    }
+
     void mask_tail() {
-        if (num_vars_ < 6) words_[0] &= (1ULL << (1 << num_vars_)) - 1;
+        if (num_vars_ < 6) data()[0] &= (1ULL << (1 << num_vars_)) - 1;
     }
 
     void check_compatible(const TruthTable& other) const {
@@ -140,7 +206,12 @@ private:
     }
 
     int num_vars_;
-    std::vector<std::uint64_t> words_;
+    // Inline words beyond word_count() stay zero, so copies may move all of
+    // them unconditionally.
+    union {
+        std::uint64_t inline_[kInlineWords] = {};
+        std::uint64_t* heap_;
+    };
 };
 
 }  // namespace lls

@@ -3,11 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
 
 #include "common/rng.hpp"
 
 namespace lls::sat {
 namespace {
+
+/// php(pigeons, holes): UNSAT whenever pigeons > holes.
+void add_pigeonhole(Solver& s, int pigeons, int holes) {
+    std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
+    for (auto& row : v)
+        for (auto& x : row) x = s.new_var();
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<Lit> clause;
+        for (int h = 0; h < holes; ++h) clause.push_back(Lit(v[p][h], false));
+        s.add_clause(clause);
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p1 = 0; p1 < pigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
+}
 
 TEST(SatSolver, TrivialSat) {
     Solver s;
@@ -55,19 +72,7 @@ TEST(SatSolver, XorChainSat) {
 TEST(SatSolver, PigeonholeUnsat) {
     // 4 pigeons in 3 holes: classic small UNSAT with real conflict analysis.
     Solver s;
-    const int pigeons = 4, holes = 3;
-    std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
-    for (auto& row : v)
-        for (auto& x : row) x = s.new_var();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h) clause.push_back(Lit(v[p][h], false));
-        s.add_clause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p1 = 0; p1 < pigeons; ++p1)
-            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
+    add_pigeonhole(s, 4, 3);
     EXPECT_EQ(s.solve(), Status::Unsat);
     EXPECT_GT(s.num_conflicts(), 0);
 }
@@ -88,41 +93,22 @@ TEST(SatSolver, Assumptions) {
 TEST(SatSolver, ConflictLimitReturnsUnknown) {
     // A hard pigeonhole instance with a 1-conflict budget cannot finish.
     Solver s;
-    const int pigeons = 7, holes = 6;
-    std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
-    for (auto& row : v)
-        for (auto& x : row) x = s.new_var();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h) clause.push_back(Lit(v[p][h], false));
-        s.add_clause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p1 = 0; p1 < pigeons; ++p1)
-            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
+    add_pigeonhole(s, 7, 6);
     EXPECT_EQ(s.solve({}, 1), Status::Unknown);
 }
 
 TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {
     // php(9,8) needs ~20k conflicts, well past the learned-clause reduction
     // threshold, so this covers restart + reduce_learned + reason remapping.
+    // It also passes the ~4,500 conflicts after which variable activities
+    // first overflow 1e100 and are rescaled (rebuilding the decision heap),
+    // so its search trajectory is pinned too (see SatTrajectory below).
     Solver s;
-    const int holes = 8, pigeons = 9;
-    std::vector<std::vector<int>> v(pigeons, std::vector<int>(holes));
-    for (auto& row : v)
-        for (auto& x : row) x = s.new_var();
-    for (int p = 0; p < pigeons; ++p) {
-        std::vector<Lit> clause;
-        for (int h = 0; h < holes; ++h) clause.push_back(Lit(v[p][h], false));
-        s.add_clause(clause);
-    }
-    for (int h = 0; h < holes; ++h)
-        for (int p1 = 0; p1 < pigeons; ++p1)
-            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-                s.add_clause(Lit(v[p1][h], true), Lit(v[p2][h], true));
+    add_pigeonhole(s, 9, 8);
     EXPECT_EQ(s.solve(), Status::Unsat);
-    EXPECT_GT(s.num_conflicts(), 2000);
+    EXPECT_EQ(s.num_decisions(), 22662);
+    EXPECT_EQ(s.num_conflicts(), 19046);
+    EXPECT_EQ(s.num_propagations(), 242272);
 }
 
 TEST(SatSolver, TautologyAndDuplicateLiterals) {
@@ -133,6 +119,81 @@ TEST(SatSolver, TautologyAndDuplicateLiterals) {
     EXPECT_TRUE(s.add_clause({Lit(b, false), Lit(b, false)}));         // dedup to unit
     EXPECT_EQ(s.solve(), Status::Sat);
     EXPECT_TRUE(s.model_value(b));
+}
+
+/// Uniform random 3-SAT at clause/variable ratio 4.26 (the hardness peak):
+/// three distinct variables per clause, random polarities.
+void add_random_3sat(Solver& s, int num_vars, std::uint64_t seed) {
+    Rng rng(seed);
+    for (int v = 0; v < num_vars; ++v) s.new_var();
+    const int num_clauses = (num_vars * 426 + 50) / 100;
+    for (int c = 0; c < num_clauses; ++c) {
+        int vs[3];
+        for (int k = 0; k < 3; ++k) {
+            bool fresh = false;
+            while (!fresh) {
+                vs[k] = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_vars)));
+                fresh = true;
+                for (int j = 0; j < k; ++j) fresh = fresh && vs[j] != vs[k];
+            }
+        }
+        s.add_clause(Lit(vs[0], rng.next_bool()), Lit(vs[1], rng.next_bool()),
+                     Lit(vs[2], rng.next_bool()));
+    }
+}
+
+// Search-trajectory regression: the decision order (VSIDS, ties to the
+// lower variable index), conflict analysis and propagation are fully
+// deterministic, so the counters of a fixed instance are pinned. The
+// constants were recorded with a brancher that scanned every variable, so
+// any change to the decision heap that alters a single decision fails here.
+struct Random3SatCase {
+    int num_vars;
+    std::uint64_t seed;
+    Status status;
+    std::int64_t decisions;
+    std::int64_t conflicts;
+    std::int64_t propagations;
+};
+
+class SatTrajectory : public ::testing::TestWithParam<Random3SatCase> {};
+
+TEST_P(SatTrajectory, RandomThreeSatMatchesRecordedCounters) {
+    const Random3SatCase& c = GetParam();
+    Solver s;
+    add_random_3sat(s, c.num_vars, c.seed);
+    EXPECT_EQ(s.solve(), c.status);
+    EXPECT_EQ(s.num_decisions(), c.decisions);
+    EXPECT_EQ(s.num_conflicts(), c.conflicts);
+    EXPECT_EQ(s.num_propagations(), c.propagations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Threshold, SatTrajectory,
+    ::testing::Values(Random3SatCase{100, 5, Status::Sat, 235, 188, 4575},
+                      Random3SatCase{100, 2, Status::Unsat, 563, 473, 10230},
+                      Random3SatCase{150, 1, Status::Sat, 3160, 2639, 87628},
+                      Random3SatCase{150, 7, Status::Unsat, 6326, 5343, 167362},
+                      Random3SatCase{200, 1, Status::Sat, 12932, 10777, 394315}),
+    [](const ::testing::TestParamInfo<Random3SatCase>& info) {
+        return "n" + std::to_string(info.param.num_vars) + "_seed" +
+               std::to_string(info.param.seed);
+    });
+
+TEST(SatSolver, IncrementalAssumptionsMatchRecordedCounters) {
+    // Repeated solves on one solver keep activities across calls and
+    // re-enter the decision order after backtracking to level 0.
+    Solver s;
+    add_random_3sat(s, 100, 5);
+    const std::vector<std::vector<Lit>> queries = {
+        {Lit(0, false), Lit(1, true)}, {Lit(2, false)}, {Lit(3, true), Lit(4, true), Lit(5, false)}};
+    std::vector<Status> statuses;
+    for (const auto& q : queries) statuses.push_back(s.solve(q));
+    const std::vector<Status> want_statuses = {Status::Unsat, Status::Sat, Status::Unsat};
+    EXPECT_EQ(statuses, want_statuses);
+    EXPECT_EQ(s.num_decisions(), 547);
+    EXPECT_EQ(s.num_conflicts(), 467);
+    EXPECT_EQ(s.num_propagations(), 10836);
 }
 
 // Random 3-SAT cross-checked against brute force.

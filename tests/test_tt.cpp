@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "aig/cuts.hpp"
 #include "common/rng.hpp"
 #include "tt/npn.hpp"
 
@@ -12,6 +17,60 @@ TruthTable random_tt(int num_vars, Rng& rng) {
     TruthTable tt(num_vars);
     for (std::uint64_t m = 0; m < tt.num_minterms(); ++m) tt.set_bit(m, rng.next_bool());
     return tt;
+}
+
+// Reference kernels for the differential tests: the straightforward
+// per-minterm definitions the word-parallel kernels must agree with.
+
+/// New variable i reads old variable perm[i].
+TruthTable reference_permute(const TruthTable& f, const std::vector<int>& perm) {
+    TruthTable r(f.num_vars());
+    for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
+        if (!f.get_bit(m)) continue;
+        std::uint64_t nm = 0;
+        for (int i = 0; i < f.num_vars(); ++i)
+            if ((m >> perm[static_cast<std::size_t>(i)]) & 1) nm |= std::uint64_t{1} << i;
+        r.set_bit(nm, true);
+    }
+    return r;
+}
+
+TruthTable reference_swap(const TruthTable& f, int a, int b) {
+    std::vector<int> perm(static_cast<std::size_t>(f.num_vars()));
+    for (int i = 0; i < f.num_vars(); ++i) perm[static_cast<std::size_t>(i)] = i;
+    std::swap(perm[static_cast<std::size_t>(a)], perm[static_cast<std::size_t>(b)]);
+    return reference_permute(f, perm);
+}
+
+/// Old leaf i lands at the position of old_leaves[i] in new_leaves; the
+/// vacuous extended variables fill the other slots in order.
+TruthTable reference_expand(const TruthTable& f, const std::vector<std::uint32_t>& old_leaves,
+                            const std::vector<std::uint32_t>& new_leaves) {
+    const std::size_t n_new = new_leaves.size();
+    std::vector<int> perm(n_new, -1);
+    std::vector<char> used(n_new, 0);
+    for (std::size_t i = 0; i < old_leaves.size(); ++i) {
+        const auto it = std::find(new_leaves.begin(), new_leaves.end(), old_leaves[i]);
+        perm[static_cast<std::size_t>(it - new_leaves.begin())] = static_cast<int>(i);
+        used[i] = 1;
+    }
+    std::size_t next_free = 0;
+    for (auto& p : perm) {
+        if (p >= 0) continue;
+        while (used[next_free]) ++next_free;
+        p = static_cast<int>(next_free);
+        used[next_free] = 1;
+    }
+    return reference_permute(f.extend(static_cast<int>(n_new)), perm);
+}
+
+std::vector<int> random_perm(int n, Rng& rng) {
+    std::vector<int> perm(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) perm[static_cast<std::size_t>(i)] = i;
+    for (int i = n - 1; i > 0; --i)
+        std::swap(perm[static_cast<std::size_t>(i)],
+                  perm[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+    return perm;
 }
 
 TEST(TruthTable, ConstantsAndVariables) {
@@ -93,6 +152,145 @@ TEST(TruthTable, SwapAndPermute) {
     EXPECT_EQ(rotated, f);
 }
 
+TEST(TruthTableDiff, PermuteMatchesReference) {
+    Rng rng(30);
+    for (int n = 0; n <= 12; ++n) {
+        for (int trial = 0; trial < 8; ++trial) {
+            const TruthTable f = random_tt(n, rng);
+            const std::vector<int> perm = random_perm(n, rng);
+            EXPECT_EQ(f.permute(perm), reference_permute(f, perm)) << "n=" << n;
+        }
+    }
+}
+
+TEST(TruthTableDiff, SwapMatchesReferenceForEveryPair) {
+    // n = 12 spans every case of the in-place swap: both variables inside a
+    // word (a < b < 6), one inside and one across words (a < 6 <= b), and
+    // both across words (6 <= a < b); smaller n cover the masked tails.
+    Rng rng(31);
+    for (int n = 1; n <= 12; ++n) {
+        const TruthTable f = random_tt(n, rng);
+        for (int a = 0; a < n; ++a)
+            for (int b = 0; b < n; ++b) {
+                const TruthTable want = reference_swap(f, a, b);
+                EXPECT_EQ(f.swap_vars(a, b), want) << "n=" << n << " a=" << a << " b=" << b;
+                TruthTable g = f;
+                g.swap_in_place(a, b);
+                EXPECT_EQ(g, want) << "n=" << n << " a=" << a << " b=" << b;
+            }
+    }
+}
+
+TEST(TruthTableDiff, SwapCoversInWordCrossWordAndWordWordCases) {
+    Rng rng(32);
+    const TruthTable f = random_tt(10, rng);
+    const std::pair<int, int> cases[] = {{1, 4}, {0, 5}, {3, 8}, {5, 6}, {6, 9}, {7, 8}};
+    for (const auto& [a, b] : cases) {
+        const TruthTable g = f.swap_vars(a, b);
+        for (std::uint64_t m = 0; m < f.num_minterms(); ++m) {
+            std::uint64_t sm = m & ~((std::uint64_t{1} << a) | (std::uint64_t{1} << b));
+            if ((m >> a) & 1) sm |= std::uint64_t{1} << b;
+            if ((m >> b) & 1) sm |= std::uint64_t{1} << a;
+            ASSERT_EQ(g.get_bit(m), f.get_bit(sm)) << "a=" << a << " b=" << b << " m=" << m;
+        }
+        EXPECT_EQ(g.swap_vars(b, a), f);
+    }
+}
+
+TEST(TruthTableDiff, PermuteRejectsNonPermutation) {
+    const TruthTable f = TruthTable::variable(3, 0);
+    EXPECT_THROW((void)f.permute({0, 0, 1}), ContractViolation);
+    EXPECT_THROW((void)f.permute({0, 1, 3}), ContractViolation);
+}
+
+TEST(TruthTableDiff, ExpandTruthTableMatchesReference) {
+    Rng rng(33);
+    for (int n_new = 0; n_new <= 12; ++n_new) {
+        for (int n_old = 0; n_old <= n_new; ++n_old) {
+            for (int trial = 0; trial < 3; ++trial) {
+                std::vector<std::uint32_t> new_leaves;
+                std::uint32_t leaf = 0;
+                for (int i = 0; i < n_new; ++i) {
+                    leaf += 1 + static_cast<std::uint32_t>(rng.next_below(5));
+                    new_leaves.push_back(leaf);
+                }
+                std::vector<std::uint32_t> pool = new_leaves;
+                for (int i = 0; i < n_old; ++i)
+                    std::swap(pool[static_cast<std::size_t>(i)],
+                              pool[static_cast<std::size_t>(i) +
+                                   rng.next_below(static_cast<std::uint64_t>(n_new - i))]);
+                std::vector<std::uint32_t> old_leaves(pool.begin(), pool.begin() + n_old);
+                std::sort(old_leaves.begin(), old_leaves.end());
+                const TruthTable f = random_tt(n_old, rng);
+                EXPECT_EQ(expand_truth_table(f, old_leaves, new_leaves),
+                          reference_expand(f, old_leaves, new_leaves))
+                    << "n_old=" << n_old << " n_new=" << n_new;
+            }
+        }
+    }
+}
+
+TEST(TruthTableDiff, ExpandRejectsLeavesOutsideTheNewCut) {
+    const TruthTable f = TruthTable::variable(2, 1);
+    EXPECT_THROW((void)expand_truth_table(f, {3, 7}, {1, 3, 5}), ContractViolation);
+}
+
+TEST(TruthTableStorage, CopyAndMoveOfInlineAndHeapTables) {
+    // 8 variables is the largest inline table, 9 the smallest heap one.
+    Rng rng(34);
+    for (int n : {0, 3, 6, 8, 9, 12}) {
+        const TruthTable f = random_tt(n, rng);
+        TruthTable copy(f);
+        EXPECT_EQ(copy, f) << "n=" << n;
+        copy.set_bit(0, !copy.get_bit(0));
+        EXPECT_NE(copy, f) << "copies must not share words, n=" << n;
+
+        TruthTable source(f);
+        const TruthTable moved(std::move(source));
+        EXPECT_EQ(moved, f) << "n=" << n;
+        source = f;  // a moved-from table is assignable again
+        EXPECT_EQ(source, f) << "n=" << n;
+
+        // Assignment across the inline/heap boundary, both directions.
+        for (int m : {2, 8, 9, 11}) {
+            TruthTable other = random_tt(m, rng);
+            other = f;
+            EXPECT_EQ(other, f) << "n=" << n << " m=" << m;
+            TruthTable target = random_tt(m, rng);
+            TruthTable tmp(f);
+            target = std::move(tmp);
+            EXPECT_EQ(target, f) << "n=" << n << " m=" << m;
+        }
+
+        TruthTable self(f);
+        const TruthTable& alias = self;
+        self = alias;
+        EXPECT_EQ(self, f) << "n=" << n;
+    }
+}
+
+TEST(TruthTableStorage, VariableMatchesBitLevelDefinition) {
+    for (int n = 1; n <= 12; ++n)
+        for (int v = 0; v < n; ++v) {
+            const TruthTable x = TruthTable::variable(n, v);
+            for (std::uint64_t m = 0; m < x.num_minterms(); ++m)
+                ASSERT_EQ(x.get_bit(m), ((m >> v) & 1) != 0) << "n=" << n << " v=" << v;
+            EXPECT_EQ(x.count_ones(), x.num_minterms() / 2);
+        }
+}
+
+TEST(TruthTableStorage, ConstantOneIsDetectedAtEverySize) {
+    for (int n = 0; n <= 10; ++n) {
+        TruthTable one = TruthTable::constant(n, true);
+        EXPECT_TRUE(one.is_const1()) << "n=" << n;
+        EXPECT_EQ(one.count_ones(), one.num_minterms());
+        EXPECT_TRUE((~TruthTable::constant(n, false)).is_const1()) << "n=" << n;
+        one.set_bit(one.num_minterms() - 1, false);
+        EXPECT_FALSE(one.is_const1()) << "n=" << n;
+        EXPECT_FALSE(TruthTable::constant(n, false).is_const1()) << "n=" << n;
+    }
+}
+
 TEST(TruthTable, ExtendAndShrink) {
     Rng rng(14);
     const TruthTable f = random_tt(3, rng);
@@ -140,10 +338,7 @@ TEST(Npn, EquivalentFunctionsShareCanonicalForm) {
     for (int trial = 0; trial < 20; ++trial) {
         const TruthTable f = random_tt(4, rng);
         // Scramble f by a random NPN transform; canonical forms must agree.
-        std::vector<int> perm{0, 1, 2, 3};
-        for (int i = 3; i > 0; --i)
-            std::swap(perm[static_cast<std::size_t>(i)],
-                      perm[rng.next_below(static_cast<std::uint64_t>(i) + 1)]);
+        const std::vector<int> perm = random_perm(4, rng);
         const unsigned neg = static_cast<unsigned>(rng.next_below(16));
         const bool oneg = rng.next_bool();
         const TruthTable g = npn_apply(f, perm, neg, oneg);

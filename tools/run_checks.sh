@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# run_checks.sh: tier-1 tests in the default configuration, a budgeted
+# run_checks.sh: tier-1 tests in the default configuration, a golden
+# output check (default runs on the regression circuits must reproduce the
+# sha256 recorded in tests/data/golden.sha256), a budgeted
 # determinism check of the CLI (same circuit + work budget at several
 # --jobs values must produce byte-identical outputs), a batch
 # jobs-invariance check (outputs byte-identical across --jobs 1/2/4), a
@@ -34,12 +36,27 @@ cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "== stage 1b: golden output hashes =="
+# Speed work must not change results: default runs of the regression
+# circuits at --jobs 1 and 4 must write exactly the recorded bytes. A change
+# that alters QoR on purpose regenerates tests/data/golden.sha256 and says
+# why in CHANGES.md.
+WORKDIR="$(mktemp -d)"
+trap 'rm -rf "$WORKDIR"' EXIT
+for j in 1 4; do
+    mkdir -p "$WORKDIR/golden.j$j"
+    for circuit in tests/data/rca16.blif tests/data/control24.blif; do
+        ./build/tools/lls_opt --jobs "$j" "$circuit" \
+            "$WORKDIR/golden.j$j/$(basename "$circuit")" > /dev/null
+    done
+    (cd "$WORKDIR/golden.j$j" && sha256sum --check --quiet "$REPO/tests/data/golden.sha256")
+    echo "outputs at --jobs $j match tests/data/golden.sha256"
+done
+
 echo "== stage 2: budgeted determinism across job counts =="
 # The core claim of the deterministic work budget: exhausting it must cut
 # the run at the same round on every thread schedule, so the output files
 # are byte-identical across --jobs. Checked on both regression circuits.
-WORKDIR="$(mktemp -d)"
-trap 'rm -rf "$WORKDIR"' EXIT
 for circuit in tests/data/rca16.blif tests/data/control24.blif; do
     name="$(basename "$circuit" .blif)"
     for j in 1 2 4; do
