@@ -1,7 +1,7 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
 // tables (operators, permutation, cut-function expansion), ISOP/minimum-SOP,
-// AIG construction, cut enumeration, simulation, floating-mode timing
-// simulation, SAT, CEC, and the baseline passes.
+// AIG construction, cut enumeration, SOP tree levels, simulation,
+// floating-mode timing simulation, SAT, CEC, and the baseline passes.
 //
 //   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 
@@ -17,6 +17,7 @@
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "lookahead/decompose.hpp"
+#include "network/network.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulation.hpp"
 #include "sop/sop.hpp"
@@ -221,15 +222,37 @@ void BM_Balance(benchmark::State& state) {
 }
 BENCHMARK(BM_Balance);
 
-void BM_RestructureDelay(benchmark::State& state) {
-    const Aig adder = ripple_carry_adder(32);
+void BM_RestructureDelay(benchmark::State& state, const Aig& aig) {
     RestructureOptions opt;
     opt.delay_oriented = true;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(restructure(adder, opt));
+        benchmark::DoNotOptimize(restructure(aig, opt));
     }
 }
-BENCHMARK(BM_RestructureDelay);
+// The engine's restructure round (8-cuts, 6 per node) on an adder and on a
+// Table 2 control stand-in, where many cuts share a function.
+BENCHMARK_CAPTURE(BM_RestructureDelay, rca32, ripple_carry_adder(32));
+BENCHMARK_CAPTURE(BM_RestructureDelay, C880, table2_control("C880"));
+
+// Delay scoring of one cut: the SOP tree level of an ISOP of a random
+// 6-input function over random leaf levels.
+void BM_SopTreeLevel(benchmark::State& state) {
+    Rng rng(12);
+    std::vector<Sop> sops;
+    std::vector<std::vector<int>> levels;
+    for (int i = 0; i < 64; ++i) {
+        sops.push_back(isop(random_tt(6, rng)));
+        std::vector<int> l(6);
+        for (auto& x : l) x = static_cast<int>(rng.next_below(24));
+        levels.push_back(std::move(l));
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        const std::size_t k = i++ % sops.size();
+        benchmark::DoNotOptimize(Network::sop_tree_level(sops[k], levels[k]));
+    }
+}
+BENCHMARK(BM_SopTreeLevel);
 
 void BM_DecomposeCoutCone(benchmark::State& state) {
     const Aig rca = ripple_carry_adder(8);

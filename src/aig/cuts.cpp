@@ -27,9 +27,11 @@ TruthTable expand_truth_table(const TruthTable& tt, const std::vector<std::uint3
 
 namespace {
 
+/// Appends the sorted union of `a` and `b` to `out`; false (and `out` as it
+/// was) if the union has more than `limit` leaves.
 bool merge_leaves(const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b,
                   int limit, std::vector<std::uint32_t>* out) {
-    out->clear();
+    const std::size_t start = out->size();
     std::size_t i = 0, j = 0;
     while (i < a.size() || j < b.size()) {
         std::uint32_t v;
@@ -42,11 +44,24 @@ bool merge_leaves(const std::vector<std::uint32_t>& a, const std::vector<std::ui
             ++i;
             ++j;
         }
-        if (static_cast<int>(out->size()) == limit) return false;
+        if (static_cast<int>(out->size() - start) == limit) {
+            out->resize(start);
+            return false;
+        }
         out->push_back(v);
     }
     return true;
 }
+
+/// A merged candidate cut before ranking: its leaves live in a shared pool,
+/// and its function is derived from the fanin cuts only if the cut is kept.
+struct Candidate {
+    std::pair<long, long> rank;  ///< (leaf count, leaf-level sum)
+    std::uint32_t begin;         ///< first leaf in the pool
+    std::uint32_t size;
+    const AigCut* c0;
+    const AigCut* c1;
+};
 
 }  // namespace
 
@@ -71,45 +86,46 @@ CutEnumerator::CutEnumerator(const Aig& aig, int cut_size, int max_cuts)
         cuts_[0].push_back(std::move(c));
     }
 
-    auto cut_cost = [&](const AigCut& c) {
-        long lvl = 0;
-        for (auto l : c.leaves) lvl += level[l];
-        return std::make_pair(static_cast<long>(c.leaves.size()), lvl);
-    };
-
+    std::vector<Candidate> cand;
+    std::vector<std::uint32_t> pool;
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (aig.is_pi(id)) {
             cuts_[id].push_back(trivial(id));
             continue;
         }
         const auto& n = aig.node(id);
-        std::vector<AigCut> cand;
-        std::vector<std::uint32_t> merged;
+        cand.clear();
+        pool.clear();
         for (const auto& c0 : cuts_[n.fanin0.node()]) {
             for (const auto& c1 : cuts_[n.fanin1.node()]) {
-                if (!merge_leaves(c0.leaves, c1.leaves, cut_size_, &merged)) continue;
-                AigCut c;
-                c.leaves = merged;
-                TruthTable t0 = expand_truth_table(c0.tt, c0.leaves, merged);
-                TruthTable t1 = expand_truth_table(c1.tt, c1.leaves, merged);
-                if (n.fanin0.complemented()) t0 = ~t0;
-                if (n.fanin1.complemented()) t1 = ~t1;
-                c.tt = t0 & t1;
-                cand.push_back(std::move(c));
+                const auto begin = static_cast<std::uint32_t>(pool.size());
+                if (!merge_leaves(c0.leaves, c1.leaves, cut_size_, &pool)) continue;
+                const auto size = static_cast<std::uint32_t>(pool.size()) - begin;
+                long lvl = 0;
+                for (std::uint32_t k = begin; k < begin + size; ++k) lvl += level[pool[k]];
+                cand.push_back({{static_cast<long>(size), lvl}, begin, size, &c0, &c1});
             }
         }
-        // Deduplicate and drop dominated cuts.
+        // Rank on leaves alone (std::sort sees the same comparisons as it
+        // would on whole cuts), drop duplicates and dominated cuts, and
+        // derive functions only for the cuts that stay.
         std::sort(cand.begin(), cand.end(),
-                  [&](const AigCut& a, const AigCut& b) { return cut_cost(a) < cut_cost(b); });
+                  [](const Candidate& a, const Candidate& b) { return a.rank < b.rank; });
         std::vector<AigCut> kept;
-        for (auto& c : cand) {
-            bool dominated = false;
-            for (const auto& k : kept)
-                if (k.dominates(c) || (k.leaves == c.leaves)) {
-                    dominated = true;
-                    break;
-                }
-            if (!dominated) kept.push_back(std::move(c));
+        for (const auto& c : cand) {
+            const auto* leaves = pool.data() + c.begin;
+            const bool dominated = std::any_of(kept.begin(), kept.end(), [&](const AigCut& k) {
+                return std::includes(leaves, leaves + c.size, k.leaves.begin(), k.leaves.end());
+            });
+            if (dominated) continue;
+            AigCut cut;
+            cut.leaves.assign(leaves, leaves + c.size);
+            TruthTable t0 = expand_truth_table(c.c0->tt, c.c0->leaves, cut.leaves);
+            TruthTable t1 = expand_truth_table(c.c1->tt, c.c1->leaves, cut.leaves);
+            if (n.fanin0.complemented()) t0 = ~t0;
+            if (n.fanin1.complemented()) t1 = ~t1;
+            cut.tt = t0 & t1;
+            kept.push_back(std::move(cut));
             if (static_cast<int>(kept.size()) == max_cuts_) break;
         }
         kept.push_back(trivial(id));

@@ -13,16 +13,6 @@ namespace lls {
 struct AigCut {
     std::vector<std::uint32_t> leaves;
     TruthTable tt;  ///< function of the cut root over `leaves` (leaf i = var i)
-
-    bool dominates(const AigCut& other) const {
-        // A cut dominates another if its leaves are a subset.
-        std::size_t i = 0;
-        for (auto leaf : leaves) {
-            while (i < other.leaves.size() && other.leaves[i] < leaf) ++i;
-            if (i == other.leaves.size() || other.leaves[i] != leaf) return false;
-        }
-        return true;
-    }
 };
 
 /// Re-expresses `tt` (over `old_leaves`) as a function of `new_leaves`,
@@ -32,8 +22,9 @@ TruthTable expand_truth_table(const TruthTable& tt, const std::vector<std::uint3
 
 /// Priority-cut enumeration (Mishchenko-style): bottom-up merge of fanin
 /// cuts, keeping at most `max_cuts` non-trivial cuts per node ranked by
-/// (fewer leaves, then lower total leaf level). Each node also always has
-/// its trivial cut {node}.
+/// (fewer leaves, then lower total leaf level); a cut whose leaves include
+/// a kept cut's leaves is dropped as dominated. Functions are derived only
+/// for the kept cuts. Each node also always has its trivial cut {node}.
 class CutEnumerator {
 public:
     CutEnumerator(const Aig& aig, int cut_size, int max_cuts);

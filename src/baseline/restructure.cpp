@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <unordered_map>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -21,7 +21,7 @@ Aig balance(const Aig& aig) {
 
     // Leaves of the maximal single-fanout conjunction rooted at `lit`
     // (in the original AIG).
-    auto collect_leaves = [&](AigLit root, auto&& self) -> std::vector<AigLit> {
+    auto collect_leaves = [&](AigLit root) {
         std::vector<AigLit> leaves;
         std::vector<AigLit> stack{root};
         while (!stack.empty()) {
@@ -37,13 +37,12 @@ Aig balance(const Aig& aig) {
                 leaves.push_back(lit);
             }
         }
-        (void)self;
         return leaves;
     };
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
-        auto leaves = collect_leaves(AigLit::make(id, false), collect_leaves);
+        auto leaves = collect_leaves(AigLit::make(id, false));
         for (auto& l : leaves) {
             const AigLit m = remap[l.node()];
             l = l.complemented() ? !m : m;
@@ -57,29 +56,62 @@ Aig balance(const Aig& aig) {
     return out.cleanup();
 }
 
+namespace {
+
+/// ISOPs of a cut function in both phases and, for area scoring, the
+/// literal counts of their factored forms.
+struct CutSops {
+    Sop on;
+    Sop off;
+    int on_literals = 0;
+    int off_literals = 0;
+};
+
+struct TruthTableHash {
+    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
+};
+
+}  // namespace
+
 Aig restructure(const Aig& aig, const RestructureOptions& options) {
     const CutEnumerator cuts(aig, options.cut_size, options.max_cuts);
     const auto old_levels = aig.compute_levels();
     const int depth = aig.depth();
 
     // Criticality: nodes on some maximal-level path (level + slack == depth).
-    std::vector<int> required(aig.num_nodes(), 0);
+    std::vector<int> required;
     if (options.only_critical) {
-        for (auto& r : required) r = depth;
-        std::vector<int> req(aig.num_nodes(), depth);
+        required.assign(aig.num_nodes(), depth);
         for (std::uint32_t id = static_cast<std::uint32_t>(aig.num_nodes()); id-- > 1;) {
             if (!aig.is_and(id)) continue;
             const auto& n = aig.node(id);
-            req[n.fanin0.node()] = std::min(req[n.fanin0.node()], req[id] - 1);
-            req[n.fanin1.node()] = std::min(req[n.fanin1.node()], req[id] - 1);
+            required[n.fanin0.node()] = std::min(required[n.fanin0.node()], required[id] - 1);
+            required[n.fanin1.node()] = std::min(required[n.fanin1.node()], required[id] - 1);
         }
-        required = std::move(req);
     }
+
+    // Many cuts share a function, so each distinct one is decomposed once.
+    // The memo is local to this call: concurrent calls share nothing.
+    std::unordered_map<TruthTable, CutSops, TruthTableHash> memo;
+    auto sops_of = [&](const TruthTable& tt) -> const CutSops& {
+        const auto [it, inserted] = memo.try_emplace(tt);
+        CutSops& s = it->second;
+        if (inserted) {
+            s.on = isop(tt);
+            s.off = isop(~tt);
+            if (!options.delay_oriented) {
+                s.on_literals = factor(s.on).num_literals();
+                s.off_literals = factor(s.off).num_literals();
+            }
+        }
+        return s;
+    };
 
     Aig out;
     std::vector<AigLit> remap(aig.num_nodes(), AigLit::constant(false));
     for (std::size_t i = 0; i < aig.num_pis(); ++i) remap[aig.pi(i)] = out.add_pi(aig.pi_name(i));
     AigLevelTracker levels(out);
+    std::vector<int> leaf_levels;
 
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
         if (!aig.is_and(id)) continue;
@@ -92,47 +124,33 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
         const bool critical = !options.only_critical || old_levels[id] == required[id];
         if (!critical) continue;
 
-        // Evaluate the enumerated cuts and keep the most promising rebuild.
+        // Evaluate the enumerated cuts and keep the most promising rebuild:
+        // the lower arrival level for delay, the fewer factored literals for
+        // area. Each cut is scored in its cheaper phase.
         int best_score = options.delay_oriented
                              ? levels.level(plain)
                              : std::numeric_limits<int>::max();  // plain adds 1 node anyway
         const AigCut* best_cut = nullptr;
-        Sop best_sop;
+        const Sop* best_sop = nullptr;
         bool best_phase_on = true;
         for (const auto& cut : cuts.cuts(id)) {
             if (cut.leaves.size() == 1 && cut.leaves[0] == id) continue;  // trivial
-            std::vector<int> leaf_levels;
-            std::vector<AigLit> leaf_lits;
-            leaf_levels.reserve(cut.leaves.size());
-            for (const auto l : cut.leaves) {
-                const AigLit m = remap[l];
-                leaf_lits.push_back(m);
-                leaf_levels.push_back(levels.level(m));
-            }
-            const Sop on = isop(cut.tt);
-            const Sop off = isop(~cut.tt);
+            const CutSops& s = sops_of(cut.tt);
+            int on_score = s.on_literals;
+            int off_score = s.off_literals;
             if (options.delay_oriented) {
-                const int lvl_on = Network::sop_tree_level(on, leaf_levels);
-                const int lvl_off = Network::sop_tree_level(off, leaf_levels);
-                const bool phase_on = lvl_on <= lvl_off;
-                const int score = phase_on ? lvl_on : lvl_off;
-                if (score < best_score) {
-                    best_score = score;
-                    best_cut = &cut;
-                    best_sop = phase_on ? on : off;
-                    best_phase_on = phase_on;
-                }
-            } else {
-                const FactorExpr fe_on = factor(on);
-                const FactorExpr fe_off = factor(off);
-                const bool phase_on = fe_on.num_literals() <= fe_off.num_literals();
-                const int score = phase_on ? fe_on.num_literals() : fe_off.num_literals();
-                if (score < best_score) {
-                    best_score = score;
-                    best_cut = &cut;
-                    best_sop = phase_on ? on : off;
-                    best_phase_on = phase_on;
-                }
+                leaf_levels.clear();
+                for (const auto l : cut.leaves) leaf_levels.push_back(levels.level(remap[l]));
+                on_score = Network::sop_tree_level(s.on, leaf_levels);
+                off_score = Network::sop_tree_level(s.off, leaf_levels);
+            }
+            const bool phase_on = on_score <= off_score;
+            const int score = phase_on ? on_score : off_score;
+            if (score < best_score) {
+                best_score = score;
+                best_cut = &cut;
+                best_sop = phase_on ? &s.on : &s.off;
+                best_phase_on = phase_on;
             }
         }
         if (!best_cut) continue;
@@ -142,9 +160,9 @@ Aig restructure(const Aig& aig, const RestructureOptions& options) {
         for (const auto l : best_cut->leaves) leaf_lits.push_back(remap[l]);
         AigLit rebuilt;
         if (options.delay_oriented)
-            rebuilt = build_sop_timed(out, best_sop, leaf_lits, levels);
+            rebuilt = build_sop_timed(out, *best_sop, leaf_lits, levels);
         else
-            rebuilt = build_factored(out, factor(best_sop), leaf_lits);
+            rebuilt = build_factored(out, factor(*best_sop), leaf_lits);
         if (!best_phase_on) rebuilt = !rebuilt;
 
         if (options.delay_oriented) {

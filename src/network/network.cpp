@@ -1,8 +1,8 @@
 #include "network/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <queue>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -102,32 +102,36 @@ std::vector<std::uint32_t> Network::cone_of(std::uint32_t node) const {
 namespace {
 
 /// Optimal level of a balanced binary combine over operands with the given
-/// arrival levels: repeatedly join the two earliest operands (each join is
-/// one gate level). Equivalent to the Huffman-style tree-height algorithm.
-int balanced_tree_level(std::vector<int> levels) {
-    if (levels.empty()) return 0;
-    std::priority_queue<int, std::vector<int>, std::greater<>> heap(levels.begin(), levels.end());
-    while (heap.size() > 1) {
-        const int a = heap.top();
-        heap.pop();
-        const int b = heap.top();
-        heap.pop();
-        heap.push(std::max(a, b) + 1);
+/// arrival levels, where each join is one gate level. Joining the two
+/// earliest operands first (Huffman style) reaches the Kraft bound
+/// ceil(log2(sum 2^level)), computed here without a heap: sweep the sorted
+/// levels upwards, holding the operands seen so far as `count` subtrees at
+/// `level`; climbing one level pairs them up, rounding up. Sorts `levels`.
+int balanced_tree_level(int* levels, std::size_t n) {
+    if (n == 0) return 0;
+    std::sort(levels, levels + n);
+    int level = levels[0];
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (; level < levels[i] && count > 1; ++level) count = (count + 1) / 2;
+        level = levels[i];
+        ++count;
     }
-    return heap.top();
+    return level + ceil_log2(count);
 }
 
 int sop_tree_level_impl(const Sop& sop, const std::vector<int>& fanin_levels) {
     if (sop.empty()) return 0;  // constant 0
-    std::vector<int> cube_levels;
-    cube_levels.reserve(sop.num_cubes());
+    thread_local std::vector<int> cube_levels;  // reused: no allocation per call
+    cube_levels.clear();
+    int lit_levels[Cube::kMaxVars];
     for (const auto& cube : sop.cubes()) {
-        std::vector<int> lit_levels;
-        for (int v = 0; v < sop.num_vars(); ++v)
-            if (cube.has_literal(v)) lit_levels.push_back(fanin_levels[static_cast<std::size_t>(v)]);
-        cube_levels.push_back(balanced_tree_level(std::move(lit_levels)));
+        std::size_t n = 0;
+        for (std::uint32_t vars = cube.pos | cube.neg; vars != 0; vars &= vars - 1)
+            lit_levels[n++] = fanin_levels[static_cast<std::size_t>(std::countr_zero(vars))];
+        cube_levels.push_back(balanced_tree_level(lit_levels, n));
     }
-    return balanced_tree_level(std::move(cube_levels));
+    return balanced_tree_level(cube_levels.data(), cube_levels.size());
 }
 
 }  // namespace

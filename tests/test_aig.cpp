@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
 #include "common/rng.hpp"
+#include "io/generators.hpp"
 #include "sim/simulation.hpp"
 
 namespace lls {
@@ -213,6 +218,127 @@ TEST(Cuts, RespectsSizeLimit) {
     const CutEnumerator cuts(aig, 4, 10);
     for (std::uint32_t id = 1; id < aig.num_nodes(); ++id)
         for (const auto& cut : cuts.cuts(id)) EXPECT_LE(cut.leaves.size(), 4u);
+}
+
+// Reference cut enumeration: derives every candidate's truth table, then
+// ranks by (leaf count, leaf-level sum) and drops dominated cuts.
+// CutEnumerator ranks on leaves first and derives functions only for the
+// cuts it keeps; the two must produce the same lists.
+std::vector<std::vector<AigCut>> reference_cuts(const Aig& aig, int cut_size, int max_cuts) {
+    std::vector<std::vector<AigCut>> cuts(aig.num_nodes());
+    const auto level = aig.compute_levels();
+    auto trivial = [](std::uint32_t id) {
+        AigCut c;
+        c.leaves = {id};
+        c.tt = TruthTable::variable(1, 0);
+        return c;
+    };
+    auto subset = [](const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b) {
+        std::size_t i = 0;
+        for (auto leaf : a) {
+            while (i < b.size() && b[i] < leaf) ++i;
+            if (i == b.size() || b[i] != leaf) return false;
+        }
+        return true;
+    };
+    auto cut_cost = [&](const AigCut& c) {
+        long lvl = 0;
+        for (auto l : c.leaves) lvl += level[l];
+        return std::make_pair(static_cast<long>(c.leaves.size()), lvl);
+    };
+    cuts[0].push_back(AigCut{{}, TruthTable(0)});
+    for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
+        if (aig.is_pi(id)) {
+            cuts[id].push_back(trivial(id));
+            continue;
+        }
+        const auto& n = aig.node(id);
+        std::vector<AigCut> cand;
+        for (const auto& c0 : cuts[n.fanin0.node()]) {
+            for (const auto& c1 : cuts[n.fanin1.node()]) {
+                std::vector<std::uint32_t> merged;
+                std::set_union(c0.leaves.begin(), c0.leaves.end(), c1.leaves.begin(),
+                               c1.leaves.end(), std::back_inserter(merged));
+                if (static_cast<int>(merged.size()) > cut_size) continue;
+                TruthTable t0 = expand_truth_table(c0.tt, c0.leaves, merged);
+                TruthTable t1 = expand_truth_table(c1.tt, c1.leaves, merged);
+                if (n.fanin0.complemented()) t0 = ~t0;
+                if (n.fanin1.complemented()) t1 = ~t1;
+                cand.push_back(AigCut{merged, t0 & t1});
+            }
+        }
+        std::sort(cand.begin(), cand.end(),
+                  [&](const AigCut& a, const AigCut& b) { return cut_cost(a) < cut_cost(b); });
+        std::vector<AigCut> kept;
+        for (auto& c : cand) {
+            bool dominated = false;
+            for (const auto& k : kept)
+                if (subset(k.leaves, c.leaves) || k.leaves == c.leaves) {
+                    dominated = true;
+                    break;
+                }
+            if (!dominated) kept.push_back(std::move(c));
+            if (static_cast<int>(kept.size()) == max_cuts) break;
+        }
+        kept.push_back(trivial(id));
+        cuts[id] = std::move(kept);
+    }
+    return cuts;
+}
+
+/// Every (cut_size, max_cuts) shape the library enumerates with:
+/// delay/area restructure, SIS-style restructure, network clustering,
+/// technology mapping and exact rewriting.
+constexpr std::pair<int, int> kCutShapes[] = {{8, 6}, {6, 6}, {5, 8}, {4, 8}, {4, 6}};
+
+void expect_cuts_match_reference(const Aig& aig, const std::string& name) {
+    for (const auto& [cut_size, max_cuts] : kCutShapes) {
+        const CutEnumerator cuts(aig, cut_size, max_cuts);
+        const auto ref = reference_cuts(aig, cut_size, max_cuts);
+        for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
+            const auto& got = cuts.cuts(id);
+            ASSERT_EQ(got.size(), ref[id].size())
+                << name << " node " << id << " shape " << cut_size << "/" << max_cuts;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].leaves, ref[id][i].leaves)
+                    << name << " node " << id << " cut " << i << " shape " << cut_size << "/"
+                    << max_cuts;
+                ASSERT_TRUE(got[i].tt == ref[id][i].tt)
+                    << name << " node " << id << " cut " << i << " shape " << cut_size << "/"
+                    << max_cuts;
+            }
+        }
+    }
+}
+
+TEST(CutsDiff, RegressionCircuitsMatchReference) {
+    expect_cuts_match_reference(ripple_carry_adder(16), "rca16");
+    expect_cuts_match_reference(synthetic_control_circuit({"control24", 24, 8, 8, 8, 24}),
+                                "control24");
+    for (const auto& p : table2_profiles())
+        if (p.name == "C880") expect_cuts_match_reference(synthetic_control_circuit(p), "C880");
+}
+
+TEST(CutsDiff, RandomAigsMatchReference) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        Aig aig;
+        std::vector<AigLit> pool;
+        const int num_pis = 4 + static_cast<int>(rng.next_below(10));
+        for (int i = 0; i < num_pis; ++i) pool.push_back(aig.add_pi());
+        for (int i = 0; i < 150; ++i) {
+            // Bias towards recent nodes so the graph grows deep, with
+            // reconvergence and complemented edges.
+            const auto recent = std::min<std::size_t>(pool.size(), 12);
+            AigLit x = pool[pool.size() - 1 - rng.next_below(recent)];
+            AigLit y = pool[rng.next_below(pool.size())];
+            if (rng.next_bool()) x = !x;
+            if (rng.next_bool()) y = !y;
+            pool.push_back(aig.land(x, y));
+        }
+        for (int o = 0; o < 4; ++o) aig.add_po(pool[pool.size() - 1 - static_cast<std::size_t>(o)]);
+        expect_cuts_match_reference(aig, "random seed " + std::to_string(seed));
+    }
 }
 
 TEST(Aig, HashChangesWithStructure) {

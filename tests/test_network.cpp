@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <queue>
+
 #include "cec/cec.hpp"
+#include "common/rng.hpp"
 #include "io/generators.hpp"
 
 namespace lls {
@@ -80,6 +85,114 @@ TEST(Network, SopLevelRespectsArrivalSkew) {
     const auto levels = net.compute_sop_levels();
     EXPECT_EQ(levels[g], 1);
     EXPECT_EQ(levels[h], 2);
+}
+
+// Reference SOP tree level: Huffman-style joins of the two earliest
+// operands on a priority queue, per cube and then over the cubes.
+int reference_tree_level(const std::vector<int>& levels) {
+    if (levels.empty()) return 0;
+    std::priority_queue<int, std::vector<int>, std::greater<>> heap(levels.begin(), levels.end());
+    while (heap.size() > 1) {
+        const int a = heap.top();
+        heap.pop();
+        const int b = heap.top();
+        heap.pop();
+        heap.push(std::max(a, b) + 1);
+    }
+    return heap.top();
+}
+
+int reference_sop_tree_level(const Sop& sop, const std::vector<int>& fanin_levels) {
+    if (sop.empty()) return 0;
+    std::vector<int> cube_levels;
+    for (const auto& cube : sop.cubes()) {
+        std::vector<int> lit_levels;
+        for (int v = 0; v < sop.num_vars(); ++v)
+            if (cube.has_literal(v))
+                lit_levels.push_back(fanin_levels[static_cast<std::size_t>(v)]);
+        cube_levels.push_back(reference_tree_level(lit_levels));
+    }
+    return reference_tree_level(cube_levels);
+}
+
+std::vector<int> random_levels(int n, int max_level, Rng& rng) {
+    std::vector<int> levels(static_cast<std::size_t>(n));
+    for (auto& l : levels)
+        l = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(max_level) + 1));
+    return levels;
+}
+
+Cube random_cube(int num_vars, int percent_literals, Rng& rng) {
+    Cube c;
+    for (int v = 0; v < num_vars; ++v)
+        if (static_cast<int>(rng.next_below(100)) < percent_literals)
+            c = c.with_literal(v, rng.next_bool());
+    return c;
+}
+
+TEST(SopLevelDiff, EdgeCasesMatchReference) {
+    const std::vector<int> levels{3, 0, 7, 2};
+    EXPECT_EQ(Network::sop_tree_level(Sop(4), levels), 0);  // constant 0
+    const Sop taut(4, {Cube::tautology()});
+    EXPECT_EQ(Network::sop_tree_level(taut, levels), reference_sop_tree_level(taut, levels));
+    EXPECT_EQ(Network::sop_tree_level(taut, levels), 0);
+    const Sop mixed(4, {Cube::tautology(), Cube{0b0100, 0b0001}});
+    EXPECT_EQ(Network::sop_tree_level(mixed, levels), reference_sop_tree_level(mixed, levels));
+
+    Rng rng(11);
+    for (int trial = 0; trial < 50; ++trial) {
+        const auto fanin = random_levels(32, trial % 2 ? 40 : 3, rng);
+        // 32-literal cubes: every variable appears, in random phases.
+        Sop wide(32);
+        for (int i = 0; i < 1 + trial % 3; ++i) {
+            const auto pos = static_cast<std::uint32_t>(rng.next_u64());
+            wide.add_cube(Cube{pos, ~pos});
+        }
+        EXPECT_EQ(Network::sop_tree_level(wide, fanin), reference_sop_tree_level(wide, fanin));
+    }
+}
+
+TEST(SopLevelDiff, LevelVectorsMatchReference) {
+    // One single-literal cube per entry: the SOP level is the balanced OR
+    // tree over the entries' fanin levels, including repeated entries.
+    Rng rng(5);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const int num_vars = 1 + static_cast<int>(rng.next_below(32));
+        const int max_level = std::array{0, 1, 2, 5, 30, 1000}[trial % 6];
+        const auto fanin = random_levels(num_vars, max_level, rng);
+        const int n = 1 + static_cast<int>(rng.next_below(trial % 10 == 0 ? 600 : 40));
+        Sop sop(num_vars);
+        std::vector<int> entries;
+        for (int i = 0; i < n; ++i) {
+            const int v = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_vars)));
+            sop.add_cube(Cube::tautology().with_literal(v, rng.next_bool()));
+            entries.push_back(fanin[static_cast<std::size_t>(v)]);
+        }
+        ASSERT_EQ(Network::sop_tree_level(sop, fanin), reference_tree_level(entries))
+            << "trial " << trial;
+    }
+}
+
+TEST(SopLevelDiff, RandomSopsMatchReference) {
+    Rng rng(9);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const int num_vars = static_cast<int>(rng.next_below(33));
+        const int max_level = std::array{0, 1, 4, 12, 100}[trial % 5];
+        const auto fanin = random_levels(num_vars, max_level, rng);
+        // Every 20th SOP has more than 256 cubes.
+        const int num_cubes = trial % 20 == 0 ? 257 + static_cast<int>(rng.next_below(200))
+                                              : static_cast<int>(rng.next_below(12));
+        const int density = std::array{10, 40, 80, 100}[trial % 4];
+        Sop on(num_vars);
+        Sop off(num_vars);
+        for (int i = 0; i < num_cubes; ++i) on.add_cube(random_cube(num_vars, density, rng));
+        for (int i = 0; i < num_cubes / 2; ++i) off.add_cube(random_cube(num_vars, density, rng));
+        const int ref_on = reference_sop_tree_level(on, fanin);
+        const int ref_off = reference_sop_tree_level(off, fanin);
+        ASSERT_EQ(Network::sop_tree_level(on, fanin), ref_on) << "trial " << trial;
+        ASSERT_EQ(Network::sop_level_of(on, off, fanin), std::min(ref_on, ref_off))
+            << "trial " << trial;
+    }
 }
 
 TEST(Network, CriticalFanins) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # run_checks.sh: tier-1 tests in the default configuration, a golden
-# output check (default runs on the regression circuits must reproduce the
-# sha256 recorded in tests/data/golden.sha256), a budgeted
+# output check (default lookahead runs and the sis/abc/dc baseline flows on
+# the regression circuits must reproduce the sha256 recorded in
+# tests/data/golden.sha256), a budgeted
 # determinism check of the CLI (same circuit + work budget at several
 # --jobs values must produce byte-identical outputs), a batch
 # jobs-invariance check (outputs byte-identical across --jobs 1/2/4), a
@@ -37,17 +38,22 @@ cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
 echo "== stage 1b: golden output hashes =="
-# Speed work must not change results: default runs of the regression
-# circuits at --jobs 1 and 4 must write exactly the recorded bytes. A change
-# that alters QoR on purpose regenerates tests/data/golden.sha256 and says
-# why in CHANGES.md.
+# Speed work must not change results: default (lookahead) runs and the
+# sis, abc and dc baseline flows on the regression circuits at --jobs 1 and
+# 4 must write exactly the recorded bytes (flow outputs are named
+# <circuit>.<flow>.blif). A change that alters QoR on purpose regenerates
+# tests/data/golden.sha256 and says why in CHANGES.md.
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 for j in 1 4; do
     mkdir -p "$WORKDIR/golden.j$j"
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
-        ./build/tools/lls_opt --jobs "$j" "$circuit" \
-            "$WORKDIR/golden.j$j/$(basename "$circuit")" > /dev/null
+        name="$(basename "$circuit" .blif)"
+        ./build/tools/lls_opt --jobs "$j" "$circuit" "$WORKDIR/golden.j$j/$name.blif" > /dev/null
+        for flow in sis abc dc; do
+            ./build/tools/lls_opt --flow "$flow" --jobs "$j" "$circuit" \
+                "$WORKDIR/golden.j$j/$name.$flow.blif" > /dev/null
+        done
     done
     (cd "$WORKDIR/golden.j$j" && sha256sum --check --quiet "$REPO/tests/data/golden.sha256")
     echo "outputs at --jobs $j match tests/data/golden.sha256"
