@@ -1,7 +1,8 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
 // tables (operators, permutation, cut-function expansion), ISOP/minimum-SOP,
 // AIG construction, cut enumeration, SOP tree levels, simulation,
-// floating-mode timing simulation, SAT, CEC, and the baseline passes.
+// floating-mode timing simulation, SAT, CEC, the baseline passes, and
+// technology mapping (cell matching, switching activity).
 //
 //   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 
@@ -17,6 +18,7 @@
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "lookahead/decompose.hpp"
+#include "mapping/mapper.hpp"
 #include "network/network.hpp"
 #include "sat/solver.hpp"
 #include "sim/simulation.hpp"
@@ -148,6 +150,35 @@ Aig table2_control(const std::string& name) {
 BENCHMARK_CAPTURE(BM_CutEnumeration, rca16_k5, ripple_carry_adder(16), 5, 8);
 BENCHMARK_CAPTURE(BM_CutEnumeration, rca64_k5, ripple_carry_adder(64), 5, 8);
 BENCHMARK_CAPTURE(BM_CutEnumeration, C880_k8, table2_control("C880"), 8, 6);
+
+// Technology mapping plus its switching-activity simulation, as a
+// benchmark pass runs it: with a fresh (cold) cell library every iteration.
+void BM_MapCircuit(benchmark::State& state, const Aig& aig) {
+    for (auto _ : state) {
+        const CellLibrary lib = CellLibrary::generic_70nm();
+        benchmark::DoNotOptimize(map_circuit(aig, lib));
+    }
+}
+BENCHMARK_CAPTURE(BM_MapCircuit, C880, table2_control("C880"))->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MapCircuit, rca64, ripple_carry_adder(64))->Unit(benchmark::kMillisecond);
+
+// Cell matching on a cold library: 256 seeded 4-input functions (nearly all
+// match no cell) and the 16 functions of 2 inputs.
+void BM_CellMatchCold(benchmark::State& state) {
+    Rng rng(11);
+    std::vector<TruthTable> functions;
+    for (int i = 0; i < 256; ++i) functions.push_back(random_tt(4, rng));
+    for (std::uint64_t bits = 0; bits < 16; ++bits) {
+        TruthTable f(2);
+        for (std::uint64_t m = 0; m < 4; ++m) f.set_bit(m, (bits >> m) & 1);
+        functions.push_back(f);
+    }
+    for (auto _ : state) {
+        const CellLibrary lib = CellLibrary::generic_70nm();
+        for (const TruthTable& f : functions) benchmark::DoNotOptimize(lib.match(f));
+    }
+}
+BENCHMARK(BM_CellMatchCold)->Unit(benchmark::kMillisecond);
 
 void BM_Simulation(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(32);

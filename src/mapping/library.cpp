@@ -10,6 +10,10 @@ TruthTable tt_of(int num_vars, const std::string& hex) {
     return TruthTable::from_hex(num_vars, hex);
 }
 
+std::uint32_t match_key(int num_vars, std::uint32_t bits) {
+    return (static_cast<std::uint32_t>(num_vars) << 16) | bits;
+}
+
 }  // namespace
 
 int CellLibrary::add_cell(Cell cell) {
@@ -53,64 +57,64 @@ CellLibrary CellLibrary::generic_70nm() {
     return lib;
 }
 
-std::optional<CellMatch> CellLibrary::match(const TruthTable& tt) const {
-    LLS_REQUIRE(tt.num_vars() <= 4);
-    const std::string key = std::to_string(tt.num_vars()) + ":" + tt.to_hex();
-    if (auto it = match_cache_.find(key); it != match_cache_.end()) return it->second;
-
-    // Exhaustive pin assignment search over same-arity cells: with at most
-    // 4 inputs this is 4! * 2^4 * 2 = 768 candidate transforms per cell.
-    // An output negation costs a real inverter downstream, so the match
-    // score charges it; input negations are usually absorbed by AIG
-    // complemented edges and stay free in the score.
-    std::optional<CellMatch> best;
-    double best_score = 0.0;
-    const int k = tt.num_vars();
-    const double inv_delay = cells_[static_cast<std::size_t>(inverter_)].delay_ps;
+void CellLibrary::build_matches(int num_vars) const {
+    // Every transform of every cell of this arity, in the order an
+    // exhaustive search would try them: cells by index, then output
+    // negation, then whether any input is negated, then pin permutations in
+    // lexicographic order, then input negation masks ascending. A function
+    // keeps the first transform with the lowest score. An output negation
+    // and any input negation each charge one inverter delay.
+    const int k = num_vars;
+    const double inv_delay = inverter_delay_ps();
+    std::unordered_map<std::uint32_t, double> best_score;
     for (int ci = 0; ci < static_cast<int>(cells_.size()); ++ci) {
         const Cell& cell = cells_[static_cast<std::size_t>(ci)];
         if (cell.num_inputs != k) continue;
-
-        for (int oneg = 0; oneg < 2; ++oneg) {
+        const std::uint64_t cell_bits = cell.function.word(0);
+        for (unsigned oneg = 0; oneg < 2; ++oneg) {
             for (int with_input_neg = 0; with_input_neg < 2; ++with_input_neg) {
-            const double score = cell.delay_ps + (oneg ? inv_delay : 0.0) +
-                                 (with_input_neg ? inv_delay : 0.0);
-            if (best && score >= best_score) continue;
-
-            bool found = false;
-            std::vector<int> pin_to_leaf(static_cast<std::size_t>(k));
-            for (int i = 0; i < k; ++i) pin_to_leaf[static_cast<std::size_t>(i)] = i;
-            std::sort(pin_to_leaf.begin(), pin_to_leaf.end());
-            do {
+                const double score = cell.delay_ps + (oneg ? inv_delay : 0.0) +
+                                     (with_input_neg ? inv_delay : 0.0);
+                CellMatch m{ci, {}, 0, oneg != 0};
+                for (int j = 0; j < k; ++j) m.leaf_of_pin[static_cast<std::size_t>(j)] = j;
                 const unsigned neg_begin = with_input_neg ? 1 : 0;
                 const unsigned neg_end = with_input_neg ? (1u << k) : 1;
-                for (unsigned neg = neg_begin; neg < neg_end && !found; ++neg) {
-                    // Candidate: out = oneg ^ cell(pins), pin j = leaf
-                    // pin_to_leaf[j] ^ (neg >> j).
-                    bool ok = true;
-                    for (std::uint64_t m = 0; m < tt.num_minterms() && ok; ++m) {
-                        std::uint32_t cell_minterm = 0;
-                        for (int j = 0; j < k; ++j) {
-                            const bool leaf_val =
-                                (m >> pin_to_leaf[static_cast<std::size_t>(j)]) & 1;
-                            const bool pin_val = leaf_val != (((neg >> j) & 1) != 0);
-                            if (pin_val) cell_minterm |= 1u << j;
+                do {
+                    for (unsigned neg = neg_begin; neg < neg_end; ++neg) {
+                        // out = oneg ^ cell(pins), pin j = leaf leaf_of_pin[j] ^ (neg >> j).
+                        std::uint32_t bits = 0;
+                        for (unsigned minterm = 0; minterm < (1u << k); ++minterm) {
+                            unsigned cell_minterm = neg;
+                            for (int j = 0; j < k; ++j)
+                                cell_minterm ^=
+                                    ((minterm >> m.leaf_of_pin[static_cast<std::size_t>(j)]) & 1u)
+                                    << j;
+                            bits |= static_cast<std::uint32_t>(((cell_bits >> cell_minterm) & 1u) ^
+                                                               oneg)
+                                    << minterm;
                         }
-                        const bool out = cell.function.get_bit(cell_minterm) != (oneg != 0);
-                        if (out != tt.get_bit(m)) ok = false;
+                        const std::uint32_t key = match_key(k, bits);
+                        const auto [it, fresh] = best_score.try_emplace(key, score);
+                        if (fresh || score < it->second) {
+                            it->second = score;
+                            m.input_neg = neg;
+                            matches_[key] = m;
+                        }
                     }
-                    if (ok) {
-                        best = CellMatch{ci, pin_to_leaf, neg, oneg != 0};
-                        best_score = score;
-                        found = true;
-                    }
-                }
-            } while (!found && std::next_permutation(pin_to_leaf.begin(), pin_to_leaf.end()));
+                } while (std::next_permutation(m.leaf_of_pin.begin(), m.leaf_of_pin.begin() + k));
             }
         }
     }
-    match_cache_[key] = best;
-    return best;
+    built_arities_ |= 1u << k;
+}
+
+std::optional<CellMatch> CellLibrary::match(const TruthTable& tt) const {
+    const int k = tt.num_vars();
+    LLS_REQUIRE(k <= 4);
+    if (!((built_arities_ >> k) & 1u)) build_matches(k);
+    const auto it = matches_.find(match_key(k, static_cast<std::uint32_t>(tt.word(0))));
+    if (it == matches_.end()) return std::nullopt;
+    return it->second;
 }
 
 }  // namespace lls

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -23,16 +25,19 @@ struct Cell {
 
 /// A match of a cut function onto a cell: pin j of the cell is driven by
 /// cut leaf `leaf_of_pin[j]`, complemented when bit j of `input_neg` is set;
-/// the cell output is complemented when `output_neg` is set.
+/// the cell output is complemented when `output_neg` is set. Entries of
+/// `leaf_of_pin` past the cell's arity are 0.
 struct CellMatch {
     int cell = -1;
-    std::vector<int> leaf_of_pin;
+    std::array<int, 4> leaf_of_pin{};
     unsigned input_neg = 0;
     bool output_neg = false;
+
+    bool operator==(const CellMatch&) const = default;
 };
 
-/// A small technology library ("generic 70 nm"), with exhaustive
-/// permutation/negation matching of cut functions (cached per function).
+/// A small technology library ("generic 70 nm"), with permutation/negation
+/// matching of cut functions.
 class CellLibrary {
 public:
     /// The library used by all experiments: INV/BUF, NAND/NOR/AND/OR 2-4,
@@ -47,15 +52,24 @@ public:
 
     /// Finds the cheapest-delay cell realizing `tt` (up to input
     /// permutation/negation and output negation). Returns nullopt when no
-    /// cell matches. Results are memoized by truth-table value.
+    /// cell matches. The first query of each arity k fills a table of every
+    /// function the k-input cells realize under some transform, so later
+    /// queries are one lookup. That table is a mutable cache: match() is
+    /// not safe to call concurrently on one CellLibrary (give each thread
+    /// its own copy).
     std::optional<CellMatch> match(const TruthTable& tt) const;
 
 private:
     int add_cell(Cell cell);
+    void build_matches(int num_vars) const;
 
     std::vector<Cell> cells_;
     int inverter_ = -1;
-    mutable std::unordered_map<std::string, std::optional<CellMatch>> match_cache_;
+    /// Best match per function, keyed by (num_vars << 16) | truth-table
+    /// bits; holds the functions of arity k once bit k of built_arities_
+    /// is set.
+    mutable std::unordered_map<std::uint32_t, CellMatch> matches_;
+    mutable unsigned built_arities_ = 0;
 };
 
 }  // namespace lls

@@ -1,19 +1,12 @@
 #include "mapping/mapper.hpp"
 
-#include <algorithm>
-
 #include "engine/metrics.hpp"
-#include "mapping/netlist.hpp"
 #include "sim/simulation.hpp"
 
 namespace lls {
 
-MappedCircuit map_circuit(const Aig& aig, const CellLibrary& library,
-                          const MapperOptions& options) {
-    static MetricTimer& mapping_timer = Metrics::global().timer("mapping.map");
-    const ScopedTimer timer_scope(mapping_timer);
-    const Netlist netlist = map_to_netlist(aig, library, options.cut_size, options.max_cuts);
-
+MappedCircuit map_circuit(const Netlist& netlist, const MapperOptions& options) {
+    const CellLibrary& library = netlist.library();
     MappedCircuit result;
     result.num_gates = netlist.num_gates();
     result.area = netlist.total_area();
@@ -23,18 +16,10 @@ MappedCircuit map_circuit(const Aig& aig, const CellLibrary& library,
     // Switching activity by gate-level simulation of the mapped netlist.
     Rng rng(options.seed);
     const SimPatterns patterns =
-        aig.num_pis() <= SimPatterns::kMaxExhaustivePis
-            ? SimPatterns::exhaustive(aig.num_pis())
-            : SimPatterns::random(aig.num_pis(), options.activity_patterns, rng);
-    std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
-    std::vector<bool> input_values(netlist.num_inputs());
-    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
-        for (std::size_t i = 0; i < netlist.num_inputs(); ++i)
-            input_values[i] = patterns.pi_value(i, p);
-        const std::vector<bool> values = netlist.evaluate_nets(input_values);
-        for (std::uint32_t n = 0; n < netlist.num_nets(); ++n)
-            if (values[n]) ++ones[n];
-    }
+        netlist.num_inputs() <= SimPatterns::kMaxExhaustivePis
+            ? SimPatterns::exhaustive(netlist.num_inputs())
+            : SimPatterns::random(netlist.num_inputs(), options.activity_patterns, rng);
+    const std::vector<std::uint64_t> ones = netlist.net_one_counts(patterns);
 
     const double freq_hz = options.clock_ghz * 1e9;
     const double v2 = options.supply_voltage * options.supply_voltage;
@@ -46,6 +31,13 @@ MappedCircuit map_circuit(const Aig& aig, const CellLibrary& library,
             activity * library.cell(gate.cell).energy_fj * 1e-15 * v2 * freq_hz * 1e3;
     }
     return result;
+}
+
+MappedCircuit map_circuit(const Aig& aig, const CellLibrary& library,
+                          const MapperOptions& options) {
+    static MetricTimer& mapping_timer = Metrics::global().timer("mapping.map");
+    const ScopedTimer timer_scope(mapping_timer);
+    return map_circuit(map_to_netlist(aig, library, options.cut_size, options.max_cuts), options);
 }
 
 }  // namespace lls

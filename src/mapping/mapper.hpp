@@ -6,6 +6,7 @@
 #include "aig/aig.hpp"
 #include "common/rng.hpp"
 #include "mapping/library.hpp"
+#include "mapping/netlist.hpp"
 
 namespace lls {
 
@@ -32,8 +33,15 @@ struct MapperOptions {
 /// for every node the fastest matching cut/cell pair is chosen; leaf or
 /// output polarity mismatches are repaired with explicit inverters. Power
 /// is alpha * E_cell * f summed over mapped gates, with switching activity
-/// alpha taken from bit-parallel random simulation.
+/// alpha taken from bit-parallel simulation of the mapped netlist (64
+/// patterns per word; exhaustive for <= 14 PIs, else
+/// `activity_patterns` random patterns).
 MappedCircuit map_circuit(const Aig& aig, const CellLibrary& library,
                           const MapperOptions& options = {});
+
+/// The report of an already mapped netlist (what the overload above
+/// returns for map_to_netlist's result); `cut_size` and `max_cuts` are
+/// unused here.
+MappedCircuit map_circuit(const Netlist& netlist, const MapperOptions& options = {});
 
 }  // namespace lls

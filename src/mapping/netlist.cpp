@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <limits>
 #include <ostream>
 #include <unordered_map>
@@ -117,6 +118,59 @@ std::vector<bool> Netlist::evaluate_nets(const std::vector<bool>& input_values) 
         value[g.output] = library_->cell(g.cell).function.get_bit(minterm);
     }
     return value;
+}
+
+std::vector<std::uint64_t> Netlist::net_one_counts(const SimPatterns& patterns) const {
+    LLS_REQUIRE(patterns.num_pis() == inputs_.size());
+    // A flat copy of the gate list keeps the per-word sweep on contiguous
+    // data: cell function bits, arity, pin nets and output net.
+    struct FlatGate {
+        std::uint32_t function = 0;
+        std::uint32_t arity = 0;
+        std::array<std::uint32_t, 4> pins{};
+        std::uint32_t output = 0;
+    };
+    std::vector<FlatGate> flat;
+    flat.reserve(gates_.size());
+    for (const auto& g : gates_) {
+        LLS_REQUIRE(g.inputs.size() <= 4);
+        FlatGate f;
+        f.function = static_cast<std::uint32_t>(library_->cell(g.cell).function.word(0));
+        f.arity = static_cast<std::uint32_t>(g.inputs.size());
+        std::copy(g.inputs.begin(), g.inputs.end(), f.pins.begin());
+        f.output = g.output;
+        flat.push_back(f);
+    }
+
+    std::vector<std::uint64_t> ones(num_nets(), 0);
+    std::vector<std::uint64_t> value(num_nets(), 0);
+    value[kConst1] = ~0ULL;
+    const std::size_t words = patterns.num_words();
+    const std::size_t tail = patterns.num_patterns() % 64;
+    for (std::size_t w = 0; w < words; ++w) {
+        for (std::size_t i = 0; i < inputs_.size(); ++i) value[inputs_[i]] = patterns.pi_bits(i)[w];
+        for (const FlatGate& g : flat) {
+            // Mux the cell's truth table down one pin at a time (pin 0 is
+            // the minterm's low bit): once pins 0..j are folded, slot i is
+            // the output word for minterm i of the remaining pins.
+            std::uint64_t slot[16];
+            const std::uint32_t minterms = 1u << g.arity;
+            for (std::uint32_t m = 0; m < minterms; ++m)
+                slot[m] = ((g.function >> m) & 1u) ? ~0ULL : 0;
+            for (std::uint32_t pin = 0, n = minterms; pin < g.arity; ++pin) {
+                const std::uint64_t x = value[g.pins[pin]];
+                n >>= 1;
+                for (std::uint32_t i = 0; i < n; ++i)
+                    slot[i] = (slot[2 * i] & ~x) | (slot[2 * i + 1] & x);
+            }
+            value[g.output] = slot[0];
+        }
+        // Padding bits of the last word are not patterns.
+        const std::uint64_t mask = (w + 1 == words && tail != 0) ? (1ULL << tail) - 1 : ~0ULL;
+        for (std::size_t n = 0; n < value.size(); ++n)
+            ones[n] += static_cast<std::uint64_t>(std::popcount(value[n] & mask));
+    }
+    return ones;
 }
 
 std::vector<bool> Netlist::evaluate(const std::vector<bool>& input_values) const {

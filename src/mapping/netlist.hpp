@@ -7,6 +7,7 @@
 #include "aig/aig.hpp"
 #include "common/rng.hpp"
 #include "mapping/library.hpp"
+#include "sim/simulation.hpp"
 
 namespace lls {
 
@@ -69,9 +70,14 @@ public:
     /// Gate-level simulation of one input vector (PO values only).
     std::vector<bool> evaluate(const std::vector<bool>& input_values) const;
 
-    /// Gate-level simulation returning the value of every net (used for
-    /// switching-activity extraction).
+    /// Gate-level simulation returning the value of every net (the
+    /// one-pattern reference for net_one_counts).
     std::vector<bool> evaluate_nets(const std::vector<bool>& input_values) const;
+
+    /// Bit-parallel simulation of all `patterns`, 64 per word: element n is
+    /// the number of patterns under which net n is 1 (used for switching
+    /// activity). Memory is one word per net, whatever the pattern count.
+    std::vector<std::uint64_t> net_one_counts(const SimPatterns& patterns) const;
 
     /// Structural Verilog dump.
     void write_verilog(std::ostream& out, const std::string& module_name = "lls_mapped") const;

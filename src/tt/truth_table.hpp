@@ -104,6 +104,12 @@ public:
             data()[minterm >> 6] &= ~(1ULL << (minterm & 63));
     }
 
+    /// Word `i` of the packed table (bits past 2^num_vars are zero).
+    std::uint64_t word(std::size_t i) const {
+        LLS_DCHECK(i < word_count());
+        return data()[i];
+    }
+
     bool is_const0() const;
     bool is_const1() const;
     std::uint64_t count_ones() const;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <map>
+#include <set>
+#include <string>
+
+#include "common/rng.hpp"
 #include "io/generators.hpp"
 
 namespace lls {
@@ -82,6 +89,137 @@ TEST(Library, NoMatchForExoticFourInput) {
     EXPECT_FALSE(lib.match(x4).has_value());
 }
 
+// The exhaustive pin-assignment search CellLibrary::match used to run on
+// every memo miss, kept as the reference for the table-driven match: per
+// same-arity cell (by index), output negation, then "any input negated",
+// every permutation in lexicographic order and every negation mask
+// ascending, keeping the first transform of the lowest score.
+std::optional<CellMatch> reference_match(const CellLibrary& lib, const TruthTable& tt) {
+    std::optional<CellMatch> best;
+    double best_score = 0.0;
+    const int k = tt.num_vars();
+    const double inv_delay = lib.inverter_delay_ps();
+    for (int ci = 0; ci < static_cast<int>(lib.cells().size()); ++ci) {
+        const Cell& cell = lib.cell(ci);
+        if (cell.num_inputs != k) continue;
+        for (int oneg = 0; oneg < 2; ++oneg) {
+            for (int with_input_neg = 0; with_input_neg < 2; ++with_input_neg) {
+                const double score = cell.delay_ps + (oneg ? inv_delay : 0.0) +
+                                     (with_input_neg ? inv_delay : 0.0);
+                if (best && score >= best_score) continue;
+                bool found = false;
+                std::vector<int> pin_to_leaf(static_cast<std::size_t>(k));
+                for (int i = 0; i < k; ++i) pin_to_leaf[static_cast<std::size_t>(i)] = i;
+                do {
+                    const unsigned neg_begin = with_input_neg ? 1 : 0;
+                    const unsigned neg_end = with_input_neg ? (1u << k) : 1;
+                    for (unsigned neg = neg_begin; neg < neg_end && !found; ++neg) {
+                        bool ok = true;
+                        for (std::uint64_t m = 0; m < tt.num_minterms() && ok; ++m) {
+                            std::uint32_t cell_minterm = 0;
+                            for (int j = 0; j < k; ++j) {
+                                const bool leaf_val =
+                                    (m >> pin_to_leaf[static_cast<std::size_t>(j)]) & 1;
+                                if (leaf_val != (((neg >> j) & 1) != 0)) cell_minterm |= 1u << j;
+                            }
+                            ok = (cell.function.get_bit(cell_minterm) != (oneg != 0)) ==
+                                 tt.get_bit(m);
+                        }
+                        if (ok) {
+                            CellMatch m{ci, {}, neg, oneg != 0};
+                            std::copy(pin_to_leaf.begin(), pin_to_leaf.end(),
+                                      m.leaf_of_pin.begin());
+                            best = m;
+                            best_score = score;
+                            found = true;
+                        }
+                    }
+                } while (!found && std::next_permutation(pin_to_leaf.begin(), pin_to_leaf.end()));
+            }
+        }
+    }
+    return best;
+}
+
+TruthTable table_of(int num_vars, std::uint32_t bits) {
+    TruthTable tt(num_vars);
+    for (std::uint64_t m = 0; m < tt.num_minterms(); ++m) tt.set_bit(m, (bits >> m) & 1u);
+    return tt;
+}
+
+void expect_match_equals_reference(const CellLibrary& lib, const TruthTable& tt) {
+    const auto got = lib.match(tt);
+    const auto want = reference_match(lib, tt);
+    ASSERT_EQ(got.has_value(), want.has_value()) << tt.num_vars() << ":" << tt.to_hex();
+    if (!want) return;
+    EXPECT_EQ(got->cell, want->cell) << tt.num_vars() << ":" << tt.to_hex();
+    EXPECT_EQ(got->leaf_of_pin, want->leaf_of_pin) << tt.num_vars() << ":" << tt.to_hex();
+    EXPECT_EQ(got->input_neg, want->input_neg) << tt.num_vars() << ":" << tt.to_hex();
+    EXPECT_EQ(got->output_neg, want->output_neg) << tt.num_vars() << ":" << tt.to_hex();
+}
+
+TEST(MatchDiff, EveryFunctionOfUpToThreeVariables) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    std::size_t matched = 0;
+    for (int k = 0; k <= 3; ++k) {
+        for (std::uint32_t bits = 0; bits < (1u << (1u << k)); ++bits) {
+            const TruthTable tt = table_of(k, bits);
+            expect_match_equals_reference(lib, tt);
+            if (lib.match(tt)) ++matched;
+        }
+    }
+    EXPECT_GT(matched, 0u);
+}
+
+TEST(MatchDiff, FourInputCellOrbits) {
+    // Every function a 4-input cell realizes under some pin permutation,
+    // input negation and output negation (the functions that hit).
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    std::set<std::uint32_t> orbit;
+    for (const Cell& cell : lib.cells()) {
+        if (cell.num_inputs != 4) continue;
+        std::vector<int> perm = {0, 1, 2, 3};
+        do {
+            const TruthTable permuted = cell.function.permute(perm);
+            for (unsigned neg = 0; neg < 16; ++neg) {
+                TruthTable f(4);
+                for (std::uint64_t m = 0; m < 16; ++m) f.set_bit(m, permuted.get_bit(m ^ neg));
+                orbit.insert(static_cast<std::uint32_t>(f.word(0)));
+                orbit.insert(static_cast<std::uint32_t>((~f).word(0)));
+            }
+        } while (std::next_permutation(perm.begin(), perm.end()));
+    }
+    for (const std::uint32_t bits : orbit) {
+        const TruthTable tt = table_of(4, bits);
+        ASSERT_TRUE(lib.match(tt).has_value()) << tt.to_hex();
+        expect_match_equals_reference(lib, tt);
+    }
+}
+
+TEST(MatchDiff, SampledFourInputFunctions) {
+    // Mostly misses, the case the exhaustive search paid most for: 65,584
+    // of the 65,812 functions of 1-4 variables match no cell.
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    Rng rng(15);
+    for (int i = 0; i < 2048; ++i) {
+        const auto bits = static_cast<std::uint32_t>(rng.next_u64() & 0xffff);
+        expect_match_equals_reference(lib, table_of(4, bits));
+    }
+}
+
+TEST(MatchDiff, LibraryCopiesMatchIndependently) {
+    // The match table fills lazily per arity; a copy made before or after
+    // filling answers the same.
+    const CellLibrary pristine = CellLibrary::generic_70nm();
+    const CellLibrary warm = pristine;
+    const TruthTable nand2 = TruthTable::from_hex(2, "7");
+    ASSERT_TRUE(warm.match(nand2).has_value());
+    const CellLibrary copy_of_warm = warm;
+    EXPECT_EQ(pristine.match(nand2), warm.match(nand2));
+    EXPECT_EQ(copy_of_warm.match(nand2), warm.match(nand2));
+    EXPECT_EQ(pristine.cell(pristine.match(nand2)->cell).name, "NAND2");
+}
+
 TEST(Mapper, MapsAddersWithSaneMetrics) {
     const CellLibrary lib = CellLibrary::generic_70nm();
     const Aig rca = ripple_carry_adder(8);
@@ -151,6 +289,58 @@ TEST(Mapper, ComplementedPoCostsAnInverter) {
     // delays differ and both map to >= 1 gate.
     EXPECT_GE(m_pos.num_gates, 1u);
     EXPECT_GE(m_neg.num_gates, 1u);
+}
+
+struct PinnedReport {
+    std::string name;
+    Aig aig;
+    std::size_t num_gates;
+    double area;
+    double delay_ps;
+    std::uint64_t power_bits;  // power_mw, bit for bit
+    std::map<std::string, int> cell_histogram;
+};
+
+TEST(Mapper, ReportsMatchRecordedValues) {
+    // Recorded from the mapper that simulated one pattern at a time through
+    // Netlist::evaluate_nets. rca16 and control24 take 2,048 random
+    // patterns; rca6 (13 PIs) and rca2 (5 PIs) the exhaustive sets.
+    const std::vector<PinnedReport> pinned = {
+        {"rca16", ripple_carry_adder(16), 176, 341.30000000000018, 1345, 0x3fb4d9e8c04ea4aaULL,
+         {{"AND2", 15}, {"AOI21", 30}, {"INV", 3}, {"NAND2", 48}, {"NAND3", 1}, {"NOR2", 2},
+          {"OAI21", 45}, {"XNOR2", 16}, {"XOR2", 16}}},
+        {"control24", synthetic_control_circuit({"control24", 24, 8, 8, 8, 24}), 153,
+         255.10000000000031, 745, 0x3faaf37c2339c0ebULL,
+         {{"AND2", 2}, {"AOI21", 26}, {"INV", 21}, {"NAND2", 27}, {"NAND3", 13}, {"NAND4", 4},
+          {"NOR2", 15}, {"NOR3", 13}, {"NOR4", 5}, {"OAI21", 22}, {"OR3", 3}, {"XNOR2", 2}}},
+        {"rca6", ripple_carry_adder(6), 66, 125.29999999999997, 595, 0x3f9ea7ef9db22d11ULL,
+         {{"AND2", 5}, {"AOI21", 10}, {"INV", 3}, {"NAND2", 18}, {"NAND3", 1}, {"NOR2", 2},
+          {"OAI21", 15}, {"XNOR2", 6}, {"XOR2", 6}}},
+        {"rca2", ripple_carry_adder(2), 21, 35.899999999999999, 295, 0x3f8161e4f765fd8cULL,
+         {{"AND2", 1}, {"AOI21", 2}, {"INV", 3}, {"NAND2", 6}, {"NAND3", 1}, {"NOR2", 2},
+          {"OAI21", 3}, {"XNOR2", 1}, {"XOR2", 2}}},
+    };
+    for (const PinnedReport& want : pinned) {
+        const CellLibrary lib = CellLibrary::generic_70nm();
+        const MappedCircuit got = map_circuit(want.aig, lib);
+        EXPECT_EQ(got.num_gates, want.num_gates) << want.name;
+        EXPECT_EQ(got.area, want.area) << want.name;
+        EXPECT_EQ(got.delay_ps, want.delay_ps) << want.name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.power_mw), want.power_bits) << want.name;
+        EXPECT_EQ(got.cell_histogram, want.cell_histogram) << want.name;
+    }
+}
+
+TEST(Mapper, NetlistOverloadMatchesAigOverload) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const Aig aig = synthetic_control_circuit({"control24", 24, 8, 8, 8, 24});
+    const MappedCircuit direct = map_circuit(aig, lib);
+    const MappedCircuit via_netlist = map_circuit(map_to_netlist(aig, lib));
+    EXPECT_EQ(via_netlist.num_gates, direct.num_gates);
+    EXPECT_EQ(via_netlist.area, direct.area);
+    EXPECT_EQ(via_netlist.delay_ps, direct.delay_ps);
+    EXPECT_EQ(via_netlist.power_mw, direct.power_mw);
+    EXPECT_EQ(via_netlist.cell_histogram, direct.cell_histogram);
 }
 
 TEST(Mapper, PowerScalesWithClock) {

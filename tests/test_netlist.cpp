@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "io/generators.hpp"
 #include "mapping/mapper.hpp"
@@ -33,6 +35,76 @@ void expect_netlist_matches_aig(const Aig& aig, const Netlist& netlist,
                 << "pattern " << p << " po " << o;
         }
     }
+}
+
+// Switching-activity one-counts taken the slow way, one evaluate_nets call
+// per pattern: the reference for the word-parallel net_one_counts.
+std::vector<std::uint64_t> reference_one_counts(const Netlist& netlist,
+                                                const SimPatterns& patterns) {
+    std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
+    std::vector<bool> inputs(netlist.num_inputs());
+    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) inputs[i] = patterns.pi_value(i, p);
+        const std::vector<bool> values = netlist.evaluate_nets(inputs);
+        for (std::size_t n = 0; n < values.size(); ++n)
+            if (values[n]) ++ones[n];
+    }
+    return ones;
+}
+
+void expect_one_counts_match_reference(const Aig& aig, const SimPatterns& patterns,
+                                       const std::string& what) {
+    const CellLibrary lib = CellLibrary::generic_70nm();
+    const Netlist netlist = map_to_netlist(aig, lib);
+    const std::vector<std::uint64_t> ones = netlist.net_one_counts(patterns);
+    EXPECT_EQ(ones, reference_one_counts(netlist, patterns)) << what;
+    // Constant nets count exactly the patterns, never padding bits.
+    EXPECT_EQ(ones[Netlist::kConst0], 0u) << what;
+    EXPECT_EQ(ones[Netlist::kConst1], patterns.num_patterns()) << what;
+}
+
+Aig c880_stand_in() {
+    for (const auto& p : table2_profiles())
+        if (p.name == "C880") return synthetic_control_circuit(p);
+    return Aig{};
+}
+
+TEST(OneCountsDiff, RegressionCircuitsUnderRandomPatterns) {
+    // 2,048 patterns fill 32 words; 1,000 leave a 40-bit tail word.
+    const std::vector<std::pair<std::string, Aig>> circuits = {
+        {"rca16", ripple_carry_adder(16)},
+        {"control24", synthetic_control_circuit({"control24", 24, 8, 8, 8, 24})},
+        {"C880", c880_stand_in()}};
+    for (const auto& [name, aig] : circuits) {
+        ASSERT_GT(aig.num_pis(), 0u) << name;
+        for (const std::size_t count : {std::size_t{2048}, std::size_t{1000}}) {
+            Rng rng(count);
+            const SimPatterns patterns = SimPatterns::random(aig.num_pis(), count, rng);
+            expect_one_counts_match_reference(aig, patterns,
+                                              name + " random " + std::to_string(count));
+        }
+    }
+}
+
+TEST(OneCountsDiff, ExhaustiveSetsBelowOneWord) {
+    // Up to 5 PIs the exhaustive set has fewer than 64 patterns, so the one
+    // word simulated is mostly padding (and a 0-PI circuit has 1 pattern).
+    Aig constant;
+    constant.add_po(AigLit::constant(true), "one");
+    constant.add_po(AigLit::constant(false), "zero");
+    expect_one_counts_match_reference(constant, SimPatterns::exhaustive(0), "constants");
+    expect_one_counts_match_reference(ripple_carry_adder(1), SimPatterns::exhaustive(3), "rca1");
+    expect_one_counts_match_reference(ripple_carry_adder(2), SimPatterns::exhaustive(5), "rca2");
+    expect_one_counts_match_reference(synthetic_control_circuit({"control4", 4, 3, 4, 2, 4}),
+                                      SimPatterns::exhaustive(4), "control4");
+}
+
+TEST(OneCountsDiff, ExhaustiveSetsUpToFourteenInputs) {
+    // The largest sets the mapper simulates exhaustively: 2^13 and 2^14
+    // patterns (128 and 256 words).
+    expect_one_counts_match_reference(ripple_carry_adder(6), SimPatterns::exhaustive(13), "rca6");
+    expect_one_counts_match_reference(synthetic_control_circuit({"control14", 14, 6, 8, 6, 14}),
+                                      SimPatterns::exhaustive(14), "control14");
 }
 
 TEST(Netlist, MappedAdderComputesAddition) {

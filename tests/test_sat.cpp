@@ -111,6 +111,55 @@ TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {
     EXPECT_EQ(s.num_propagations(), 242272);
 }
 
+TEST(SatSolver, DecisionFollowsActivityAcrossRescale) {
+    // Two variables x and y take turns in single-conflict queries, so each
+    // query's bump leaves the bumped one the most active variable. A probe
+    // query after every step then decides exactly one of them: the most
+    // active one, whose saved phase is 1 and implies the other through
+    // (!x | !y); the other's saved phase is 0 and implies nothing, which
+    // would cost a second decision. About every 4,500 conflicts the bump
+    // that pushes an activity past 1e100 triggers the rescale. At that bump
+    // the bumped variable sits below the other in the decision heap, and
+    // only the post-rescale re-heapify moves it up.
+    Solver s;
+    const int x = s.new_var();
+    const int y = s.new_var();
+    const int not_x = s.new_var();  // assumption forcing x = 0
+    const int not_y = s.new_var();  // assumption forcing y = 0
+    s.add_clause(Lit(x, true), Lit(y, true));
+    s.add_clause(Lit(not_x, true), Lit(x, true));
+    s.add_clause(Lit(not_y, true), Lit(y, true));
+    // Gadget of step i over v (x on even steps, y on odd ones): assuming b
+    // implies v and u, which (!b | !u | !v) forbids, so the query ends in
+    // one conflict whose learned unit !b (and then !u) fixes the gadget at
+    // level 0. The query stops there, at level 0, so clauses can be added.
+    const auto add_gadget = [&](int step) {
+        const int v = step % 2 == 0 ? x : y;
+        const int b = s.new_var();
+        const int u = s.new_var();
+        s.add_clause(Lit(b, true), Lit(v, false));
+        s.add_clause(Lit(b, true), Lit(u, false));
+        s.add_clause(Lit(b, true), Lit(u, true), Lit(v, true));
+        s.add_clause(Lit(b, false), Lit(u, true));
+        return b;
+    };
+    constexpr int kSteps = 10000;  // two rescales
+    int wrong_first_decisions = 0;
+    int b = add_gadget(0);
+    for (int step = 0; step < kSteps; ++step) {
+        const int other_off = step % 2 == 0 ? not_y : not_x;
+        const std::int64_t conflicts = s.num_conflicts();
+        ASSERT_EQ(s.solve({Lit(other_off, false), Lit(b, false)}, 1), Status::Unknown);
+        ASSERT_EQ(s.num_conflicts(), conflicts + 1);
+        b = add_gadget(step + 1);
+        const std::int64_t decisions = s.num_decisions();
+        ASSERT_EQ(s.solve({Lit(not_x, true), Lit(not_y, true), Lit(b, true)}), Status::Sat);
+        if (s.num_decisions() != decisions + 1) ++wrong_first_decisions;
+        EXPECT_EQ(s.model_value(x), step % 2 == 0);
+    }
+    EXPECT_EQ(wrong_first_decisions, 0);
+}
+
 TEST(SatSolver, TautologyAndDuplicateLiterals) {
     Solver s;
     const int a = s.new_var();

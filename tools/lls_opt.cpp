@@ -73,6 +73,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -645,9 +646,13 @@ int main(int argc, char** argv) {
         std::printf("equivalence check: PASS\n");
     }
 
+    // --map and --verilog report on one mapped netlist.
+    const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
+    std::optional<lls::Netlist> netlist;
+    if (map_report || !verilog_path.empty()) netlist.emplace(lls::map_to_netlist(optimized, lib));
+
     if (map_report) {
-        const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
-        const lls::MappedCircuit mapped = lls::map_circuit(optimized, lib);
+        const lls::MappedCircuit mapped = lls::map_circuit(*netlist);
         std::printf("mapped: %zu gates, delay %.0f ps, area %.1f, power %.3f mW @1GHz\n",
                     mapped.num_gates, mapped.delay_ps, mapped.area, mapped.power_mw);
         for (const auto& [cell, count] : mapped.cell_histogram)
@@ -673,16 +678,14 @@ int main(int argc, char** argv) {
         std::printf("wrote %s\n", aiger_path.c_str());
     }
     if (!verilog_path.empty()) {
-        const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
-        const lls::Netlist netlist = lls::map_to_netlist(optimized, lib);
         std::ofstream vout(verilog_path);
         if (!vout) {
             std::fprintf(stderr, "cannot open %s\n", verilog_path.c_str());
             return 1;
         }
-        netlist.write_verilog(vout, "lls_mapped");
+        netlist->write_verilog(vout, "lls_mapped");
         std::printf("wrote %s (%zu gates, %.0f ps critical path)\n", verilog_path.c_str(),
-                    netlist.num_gates(), netlist.critical_delay_ps());
+                    netlist->num_gates(), netlist->critical_delay_ps());
     }
     return 0;
 }

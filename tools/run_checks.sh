@@ -41,7 +41,8 @@ echo "== stage 1b: golden output hashes =="
 # Speed work must not change results: default (lookahead) runs and the
 # sis, abc and dc baseline flows on the regression circuits at --jobs 1 and
 # 4 must write exactly the recorded bytes (flow outputs are named
-# <circuit>.<flow>.blif). A change that alters QoR on purpose regenerates
+# <circuit>.<flow>.blif), and so must the default run's mapped netlist
+# (--verilog, <circuit>.v). A change that alters QoR on purpose regenerates
 # tests/data/golden.sha256 and says why in CHANGES.md.
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
@@ -49,7 +50,8 @@ for j in 1 4; do
     mkdir -p "$WORKDIR/golden.j$j"
     for circuit in tests/data/rca16.blif tests/data/control24.blif; do
         name="$(basename "$circuit" .blif)"
-        ./build/tools/lls_opt --jobs "$j" "$circuit" "$WORKDIR/golden.j$j/$name.blif" > /dev/null
+        ./build/tools/lls_opt --jobs "$j" --verilog "$WORKDIR/golden.j$j/$name.v" "$circuit" \
+            "$WORKDIR/golden.j$j/$name.blif" > /dev/null
         for flow in sis abc dc; do
             ./build/tools/lls_opt --flow "$flow" --jobs "$j" "$circuit" \
                 "$WORKDIR/golden.j$j/$name.$flow.blif" > /dev/null
