@@ -46,7 +46,6 @@ int main() {
 
         LookaheadParams params;
         params.max_iterations = 48;  // wide adders peel a few levels per round
-        params.time_budget_seconds = 120.0;
         report("lookahead", optimize_timing(rca, params));
     }
     std::fprintf(stderr, "(sweep complete, all points verified; %.1fs)\n",

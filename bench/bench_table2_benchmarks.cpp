@@ -75,7 +75,6 @@ int main() {
 
         LookaheadParams params;
         params.max_iterations = 8;
-        params.time_budget_seconds = 180.0;  // bound the largest OpenSPARC stand-ins
         const Aig ours = optimize_timing(circuit, params);
         r[3] = evaluate(circuit, ours, lib, flow_names[3], profile.name.c_str());
 

@@ -10,9 +10,8 @@ namespace lls {
 /// decomposition/simplification attempt, or one CDCL conflict inside a SAT
 /// query. Both are pure functions of the inputs they are charged for, so a
 /// budget metered in these units runs out at the same point of the flow on
-/// every thread schedule and every machine — unlike `time_budget_seconds`,
-/// which is kept only as a nondeterministic safety rail (docs/ENGINE.md,
-/// "Budget semantics").
+/// every thread schedule and every machine (docs/ENGINE.md, "Budget
+/// semantics").
 struct WorkCost {
     std::uint64_t decompositions = 0;  ///< decomposition / node-simplification attempts
     std::uint64_t sat_conflicts = 0;   ///< CDCL conflicts across all SAT queries

@@ -2,7 +2,7 @@
 
 // Two-tier byte-level memory governance, mirroring the engine's split
 // between deterministic budgets and nondeterministic wall rails
-// (common/budget.hpp vs. time_budget_seconds):
+// (common/budget.hpp vs. the per-cone deadline):
 //
 // Tier 1 — MemoryQuota: a *deterministic* per-cone byte quota
 // (`lls_opt --cone-mem`). Stages charge bytes at fixed program points with
@@ -12,9 +12,8 @@
 // LlsError{ResourceExhausted} at stage `kMemgovStage`, which the engine's
 // retry ladder contains by degrading the cone to its original structure —
 // a deterministic fault that memoizes like any other. Like WorkCost, a
-// MemoryQuota is deliberately NOT thread-safe: it is charged at serial
-// points, or through task-local quotas merged in fixed task order
-// (lookahead/decompose.cpp, phase B).
+// MemoryQuota is deliberately NOT thread-safe: it is charged only from the
+// thread evaluating its cone.
 //
 // Tier 2 — MemoryGovernor: a *process-wide* high-water rail
 // (`lls_opt --mem-budget`). Solver arenas push counted byte deltas into
@@ -26,7 +25,7 @@
 // it fires depends on scheduling — but it only ever evicts pure memo
 // entries and delays dispatch, so committed results stay byte-identical;
 // its event counts are reported as nondeterministic observability, like
-// `time_budget_seconds`.
+// the per-cone deadline's cancellations.
 
 #include <atomic>
 #include <chrono>
@@ -86,14 +85,6 @@ public:
 
     std::uint64_t charged() const { return charged_; }
     std::uint64_t limit() const { return limit_; }
-
-    /// Headroom below the limit (UINT64_MAX when unlimited). Snapshotting
-    /// this at a serial point is how parallel intra-cone tasks get a
-    /// schedule-invariant per-task bound.
-    std::uint64_t remaining() const {
-        if (limit_ == 0) return ~std::uint64_t{0};
-        return charged_ >= limit_ ? 0 : limit_ - charged_;
-    }
 
 private:
     std::uint64_t limit_ = 0;

@@ -2,7 +2,7 @@
 
 // RunContext: the one plumbing path for cross-cutting run state — the
 // deterministic work sink, the fault rung, cancellation sources, the
-// memory quota and governor, metrics, and the exact-verify switch.
+// memory quota and governor, and metrics.
 //
 // The engine constructs one per cone evaluation (per retry rung), and
 // decompose -> reduce -> simplify -> cec -> sat all take a
@@ -11,7 +11,7 @@
 // do-nothing context for tests and simple CLI paths (docs/ENGINE.md,
 // "Run context").
 
-#include <cstddef>
+#include <cstdint>
 #include <string_view>
 
 #include "common/budget.hpp"
@@ -45,17 +45,9 @@ struct RunContext {
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Final-equivalence switch of the engine's retry ladder: SAT-based
-    /// CEC when false, canonical-BDD comparison in a private manager
-    /// bounded by `exact_verify_bdd_limit` when true (rung 2).
-    bool exact_verify = false;
-    std::size_t exact_verify_bdd_limit = std::size_t{1} << 21;
-
     /// Tier-1 deterministic byte quota of this evaluation rung, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
-    /// not thread-safe: serial stages charge it directly; the per-cube
-    /// don't-care proof tasks charge task-local quotas snapshotted from
-    /// `remaining()` and merged in fixed task order.
+    /// not thread-safe: it is charged only from the evaluating thread.
     MemoryQuota* mem_quota = nullptr;
 
     /// Tier-2 process-wide accountant (the `--mem-budget` rail), or null.

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -63,7 +62,7 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
     // The per-cone memory quota is deterministic and result-changing (a
     // quota-degraded cone keeps its original structure), so it keys the
     // memo; zero adds nothing, like the empty fault plan. The wall rails
-    // (time budget, cone deadline, --mem-budget) stay excluded.
+    // (cone deadline, --mem-budget) stay excluded.
     if (p.cone_mem_bytes != 0) h = hash_mix(h, p.cone_mem_bytes);
     return h;
 }
@@ -159,553 +158,546 @@ void register_memo_governance(MemoryGovernor& governor) {
     governor.add_shed_hook([] { return exact_structure_memo().shed_half(); });
 }
 
-Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
-                           const EngineOptions& engine, OptimizeStats* stats) {
-    Metrics& metrics = Metrics::global();
-    MetricCounter& cones_evaluated = metrics.counter("engine.cones_evaluated");
-    MetricCounter& cones_improved = metrics.counter("engine.cones_improved");
-    MetricCounter& rounds_run = metrics.counter("engine.rounds");
-    MetricTimer& evaluate_timer = metrics.timer("engine.evaluate");
-    MetricTimer& commit_timer = metrics.timer("engine.commit");
-    MetricTimer& restructure_timer = metrics.timer("engine.restructure");
-    MetricTimer& sweep_timer = metrics.timer("engine.sat_sweep");
-    MetricTimer& cec_timer = metrics.timer("engine.cec");
-    MetricTimer& total_timer = metrics.timer("engine.total");
-    // Work-unit meters: `work.evaluate.*` is what the deterministic budget
-    // charges (memo hits replay the stored cost, so the charge stream is
-    // cache-invariant); the serial-stage meters report work actually
-    // performed and are observability-only.
-    MetricCounter& work_decompositions = metrics.counter("engine.work.evaluate.decompositions");
-    MetricCounter& work_eval_conflicts = metrics.counter("engine.work.evaluate.sat_conflicts");
-    MetricCounter& work_sweep_conflicts = metrics.counter("engine.work.sat_sweep.sat_conflicts");
-    MetricCounter& work_cec_conflicts = metrics.counter("engine.work.cec.sat_conflicts");
-    MetricCounter& budget_stops = metrics.counter("engine.budget_exhausted");
-    MetricCounter& wall_clock_stops = metrics.counter("engine.wall_clock_interrupts");
-    MetricCounter& fault_records = metrics.counter("engine.fault.records");
-    MetricCounter& fault_recovered = metrics.counter("engine.fault.recovered");
-    MetricCounter& fault_degraded = metrics.counter("engine.fault.degraded");
-    MetricCounter& quota_degrades = metrics.counter("engine.mem.quota_degrades");
-    MetricCounter& deadline_cancels = metrics.counter("engine.cancel.deadline_cancelled");
-    MetricCounter& shutdown_stops = metrics.counter("engine.cancel.shutdowns");
-    const ScopedTimer total_scope(total_timer);
-    metrics.counter("engine.runs").add();
+namespace {
 
-    // The calling thread participates in parallel_for, so a run-private
-    // pool of jobs - 1 workers applies exactly `jobs` threads to the cone
-    // fan-out.
-    ThreadPool pool(static_cast<std::size_t>(std::max(1, engine.jobs) - 1));
-    // A malformed plan is an entry error, raised before any work starts.
-    const FaultPlan fault_plan = FaultPlan::parse(params.fault_plan);
-    // Run-entry fault site: `oom@run` (or any kind at site "run") fires
-    // here, before any per-cone work — in batch mode the exception crosses
-    // the item boundary, proving a run-level allocation failure degrades
-    // that item to `failed` without tearing down its siblings.
-    FaultContext(&fault_plan, /*rung=*/0).check("run", "engine");
-    const std::uint64_t fingerprint = params_fingerprint(params);
+/// Rounds of conventional restructuring per stage call (both passes).
+constexpr int kMaxRestructureRounds = 10;
+/// Consecutive depth-flat rounds a decomposition pass tolerates.
+constexpr int kMaxPlateau = 2;
+/// Above this size, SAT sweeping and CEC run per *pass* instead of per
+/// round (every per-cone decomposition is CEC-verified regardless, and the
+/// returned circuit is always verified against the input).
+constexpr std::size_t kPerIterationCheckLimit = 1500;
 
-    // Master RNG for the *serial* stages (SAT sweeping). Candidate
-    // evaluation never draws from it: each cone gets its own generator
-    // seeded from (params fingerprint, cone hash), so the fan-out order —
-    // and therefore the job count — cannot influence any outcome.
-    Rng rng(params.seed);
-    const Aig original = input.cleanup();
+/// The retry ladder: rung 0 runs the caller's params, rung 1 escalates the
+/// SAT conflict cap x16.
+constexpr int kNumRungs = 2;
+constexpr const char* kRungLabel[kNumRungs] = {"base", "escalated-sat"};
 
-    // Deterministic work budget: charged only at serial points with the
-    // per-cone costs of each round's evaluations, so `budget.exhausted()`
-    // is a pure function of work performed — identical on every thread
-    // schedule. The wall-clock rail stays as a nondeterministic emergency
-    // stop; once it fires the in-flight round is discarded (partially
-    // evaluated rounds are never committed) and the run is flagged.
-    WorkBudget budget(params.work_budget);
-    Stopwatch wall_clock;
-    std::atomic<bool> wall_clock_fired{false};
-    // Process/batch-level cooperative cancellation. The serial stages run
-    // under this scope (token only — the per-cone watchdog is armed inside
-    // each evaluation), so a SIGTERM reaches the polls in SAT sweeping and
-    // CEC too; the Cancelled error it raises is caught around the passes
-    // below and the best verified circuit so far is returned.
-    auto shutdown_requested = [&]() {
+/// The run's metric handles, registered in report order. The names stay
+/// fixed because the benchmark reads them.
+struct EngineMeters {
+    explicit EngineMeters(Metrics& m)
+        : metrics(m),
+          cones_evaluated(m.counter("engine.cones_evaluated")),
+          cones_improved(m.counter("engine.cones_improved")),
+          rounds(m.counter("engine.rounds")),
+          evaluate(m.timer("engine.evaluate")),
+          commit(m.timer("engine.commit")),
+          restructure(m.timer("engine.restructure")),
+          sweep(m.timer("engine.sat_sweep")),
+          cec(m.timer("engine.cec")),
+          total(m.timer("engine.total")),
+          // `work.evaluate.*` is what the deterministic budget charges (memo
+          // hits replay the stored cost, so the charge stream is
+          // cache-invariant); the serial-stage meters report work actually
+          // performed and are observability-only.
+          work_decompositions(m.counter("engine.work.evaluate.decompositions")),
+          work_eval_conflicts(m.counter("engine.work.evaluate.sat_conflicts")),
+          work_sweep_conflicts(m.counter("engine.work.sat_sweep.sat_conflicts")),
+          work_cec_conflicts(m.counter("engine.work.cec.sat_conflicts")),
+          budget_stops(m.counter("engine.budget_exhausted")),
+          fault_records(m.counter("engine.fault.records")),
+          fault_recovered(m.counter("engine.fault.recovered")),
+          fault_degraded(m.counter("engine.fault.degraded")),
+          quota_degrades(m.counter("engine.mem.quota_degrades")),
+          deadline_cancels(m.counter("engine.cancel.deadline_cancelled")),
+          shutdown_stops(m.counter("engine.cancel.shutdowns")),
+          runs(m.counter("engine.runs")) {}
+
+    Metrics& metrics;
+    MetricCounter &cones_evaluated, &cones_improved, &rounds;
+    MetricTimer &evaluate, &commit, &restructure, &sweep, &cec, &total;
+    MetricCounter &work_decompositions, &work_eval_conflicts, &work_sweep_conflicts,
+        &work_cec_conflicts;
+    MetricCounter &budget_stops, &fault_records, &fault_recovered, &fault_degraded;
+    MetricCounter &quota_degrades, &deadline_cancels, &shutdown_stops, &runs;
+};
+
+/// Parses the run's fault plan — a malformed plan is an entry error,
+/// raised before any work starts — and fires the run-entry site: `oom@run`
+/// (or any kind at site "run") throws here, so in batch mode a run-level
+/// allocation failure degrades that item to `failed` without tearing down
+/// its siblings.
+FaultPlan entry_fault_plan(const LookaheadParams& params) {
+    FaultPlan plan = FaultPlan::parse(params.fault_plan);
+    FaultContext(&plan, /*rung=*/0).check("run", "engine");
+    return plan;
+}
+
+/// Everything one optimize_timing_engine run threads through its stages.
+struct RunState {
+    RunState(const Aig& input, const LookaheadParams& p, const EngineOptions& e,
+             EngineMeters& m)
+        : params(p),
+          engine(e),
+          meters(m),
+          pool(static_cast<std::size_t>(std::max(1, e.jobs) - 1)),
+          fault_plan(entry_fault_plan(p)),
+          fingerprint(params_fingerprint(p)),
+          rng(p.seed),
+          original(input.cleanup()),
+          budget(p.work_budget),
+          serial_cancel_scope(e.cancel, nullptr),
+          best(original) {
+        stats.initial_depth = original.depth();
+        stats.initial_ands = original.count_reachable_ands();
+        and_budget = 8 * std::max<std::size_t>(stats.initial_ands, 64);
+    }
+
+    bool shutdown_requested() const {
         return engine.cancel != nullptr && engine.cancel->requested();
-    };
-    const CancelScope serial_cancel_scope(engine.cancel, nullptr);
-    // Context of the *serial* stages (SAT sweeping, CEC): observability
-    // cost sink plus the shutdown token, never a deadline — serial-stage
-    // work is uncharged and single-threaded by design.
-    auto serial_context = [&](WorkCost& cost) {
+    }
+
+    /// Context of the serial stages (SAT sweeping, CEC): observability cost
+    /// sink plus the shutdown token, never a deadline or a Tier-1 quota —
+    /// serial-stage work is uncharged and single-threaded by design. Their
+    /// solvers still report arena bytes to the Tier-2 governor.
+    RunContext serial_context(WorkCost& cost) const {
         RunContext ctx;
         ctx.cost = &cost;
         ctx.cancel = engine.cancel;
-        ctx.metrics = &metrics;
-        // Serial-stage solvers report arena bytes to the Tier-2 rail but
-        // never carry a Tier-1 quota — serial work is uncharged by design.
+        ctx.metrics = &meters.metrics;
         ctx.governor = engine.governor;
         return ctx;
-    };
-    auto wall_clock_expired = [&]() {
-        if (wall_clock_fired.load(std::memory_order_relaxed)) return true;
-        if (params.time_budget_seconds > 0.0 &&
-            wall_clock.elapsed_seconds() > params.time_budget_seconds) {
-            wall_clock_fired.store(true, std::memory_order_relaxed);
-            return true;
-        }
-        return false;
-    };
-
-    OptimizeStats local;
-    local.initial_depth = original.depth();
-    local.initial_ands = original.count_reachable_ands();
-    const std::size_t and_budget = 8 * std::max<std::size_t>(local.initial_ands, 64);
-
-    Aig best = original;
-
-    // Each iteration applies one level of lookahead decomposition to every
-    // critical output, then (optionally) rounds of conventional
-    // restructuring that flatten the freshly built window/mux logic — the
-    // step that turns iterated single-level decompositions into the
-    // prefix-style trees of the paper's Eqn. 2. An iteration that keeps the
-    // depth flat is tolerated for a bounded number of rounds (the rewrite
-    // into window form often pays off only once a later round flattens the
-    // nested windows); the best circuit seen anywhere is what is returned.
-    // Above this size, SAT sweeping and CEC run per *pass* instead of per
-    // iteration (every per-cone decomposition is CEC-verified regardless,
-    // and the returned circuit is always verified against the input).
-    constexpr std::size_t kPerIterationCheckLimit = 1500;
-
-    // Evaluation of one candidate: pure function of (current, po, params) —
-    // including its work cost and fault history, which the memo stores
-    // alongside the outcome.
-    //
-    // The retry ladder runs *inside* the memoized computation. When an
-    // exception escapes a rung, the next rung retries the cone under
-    // progressively more conservative settings:
-    //   rung 0: the caller's params;
-    //   rung 1: escalated SAT conflict cap (x16);
-    //   rung 2: rung 1 + exact BDD verification instead of SAT CEC.
-    // Every rung re-seeds the cone RNG identically and charges its work to
-    // the evaluation's cost, so the ladder — like the fault injection that
-    // exercises it — is a pure function of (cone, params): bit-identical
-    // across job counts, and replayed verbatim on a memo hit. A cone whose
-    // last rung still faults degrades to "no improvement" (the commit keeps
-    // its original structure) with `recovered = false` in the record.
-    auto evaluate_cone = [&](const Aig& current, std::size_t po) -> ConeEvaluation {
-        const Aig cone = extract_cone(current, po);
-        const std::uint64_t cone_hash = cone.hash();
-        auto compute = [&]() -> ConeEvaluation {
-            cones_evaluated.add();
-            // Watchdog: arm the per-cone deadline (when configured) and
-            // expose the shutdown token to every poll site this evaluation
-            // reaches — the SAT solve loop, BDD node construction, and the
-            // decomposition inner loops all poll this scope.
-            const Deadline cone_deadline = params.cone_deadline_seconds > 0.0
-                                               ? Deadline::after_seconds(
-                                                     params.cone_deadline_seconds)
-                                               : Deadline();
-            const CancelScope cancel_scope(engine.cancel, &cone_deadline);
-            ConeEvaluation evaluation;
-            constexpr int kNumRungs = 3;
-            static const char* const kRungLabel[kNumRungs] = {"base", "escalated-sat",
-                                                              "bdd-exact"};
-            FaultRecord record;
-            bool faulted = false;
-            for (int rung = 0; rung < kNumRungs; ++rung) {
-                LookaheadParams rung_params = params;
-                if (rung >= 1)
-                    rung_params.sat_conflict_limit =
-                        std::max<std::int64_t>(params.sat_conflict_limit, 1) * 16;
-                const FaultContext fault_context(&fault_plan, rung);
-                // Tier-1 quota, fresh per rung: every rung starts from zero
-                // so the charge stream — and the exact point an exhaustion
-                // fires — is a pure function of (cone, params, rung).
-                MemoryQuota quota(params.cone_mem_bytes);
-                // The one plumbing path down the decompose -> reduce ->
-                // simplify -> cec -> sat stack: deterministic cost sink,
-                // fault rung, cancellation sources (mirroring the
-                // CancelScope above) and the rung-2 exact-verify switch.
-                RunContext ctx = cone_run_context(evaluation);
-                ctx.faults = &fault_context;
-                ctx.cancel = engine.cancel;
-                ctx.deadline = &cone_deadline;
-                ctx.exact_verify = rung == 2;
-                ctx.metrics = &metrics;
-                if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
-                ctx.governor = engine.governor;
-                Rng cone_rng(hash_mix(fingerprint, cone_hash));
-                try {
-                    if (auto outcome = decompose_output(cone, rung_params, cone_rng, ctx))
-                        evaluation.outcome =
-                            std::make_shared<const DecomposeOutcome>(std::move(*outcome));
-                    if (faulted) {
-                        record.retries.push_back(std::string(kRungLabel[rung]) + ": ok");
-                        record.recovered = true;
-                    }
-                    break;
-                } catch (const std::exception& e) {
-                    const ErrorKind kind = error_kind_of(e);
-                    // A shutdown cancellation propagates: the whole round is
-                    // about to be discarded, so nothing is recorded or
-                    // memoized for this cone — `--resume` re-evaluates it
-                    // from scratch, byte-identically.
-                    if (kind == ErrorKind::Cancelled && shutdown_requested()) throw;
-                    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
-                    if (!faulted) {
-                        faulted = true;
-                        record.kind = kind;
-                        record.stage = lls_error && !lls_error->stage().empty()
-                                           ? lls_error->stage()
-                                           : "evaluate";
-                        record.detail = e.what();
-                    } else {
-                        record.retries.push_back(std::string(kRungLabel[rung]) + ": " +
-                                                 error_kind_name(kind));
-                    }
-                    // A fired cone watchdog (or an injected `cancel` fault
-                    // exercising its path) ends the ladder immediately:
-                    // retrying under an already-expired deadline cannot
-                    // complete, and the outcome depends on wall clock, so
-                    // the evaluation is flagged to keep it out of the memo.
-                    if (kind == ErrorKind::Cancelled) {
-                        evaluation.timing_dependent = true;
-                        break;
-                    }
-                    // Tier-1 quota exhaustion also ends the ladder — the
-                    // escalated rungs only *grow* the footprint, so under
-                    // the same per-rung quota they deterministically
-                    // re-fail. Unlike a deadline this is a pure function of
-                    // (cone, params): the evaluation memoizes, and the cone
-                    // can never be reported as recovered.
-                    if (lls_error != nullptr && lls_error->stage() == kMemgovStage) break;
-                }
-            }
-            if (faulted) evaluation.faults.push_back(std::move(record));
-            return evaluation;
-        };
-        if (!engine.use_result_cache) return compute();
-        // Explicit get/put instead of get_or_compute so a hit on an entry
-        // the persistent store imported can be metered as a warm hit.
-        const std::pair<std::uint64_t, std::uint64_t> key{cone_hash, fingerprint};
-        if (auto cached = decompose_memo().get(key)) {
-            if (engine.warm_start) engine.warm_start->note_decompose_hit(cone_hash, fingerprint);
-            return std::move(*cached);
-        }
-        ConeEvaluation value = compute();
-        // Timing-dependent (deadline-cancelled) evaluations are a function
-        // of wall clock, not of (cone, params): never memoize them.
-        if (!value.timing_dependent) decompose_memo().put(key, value);
-        return value;
-    };
-
-    auto run_decomposition_loop = [&](Aig current) {
-        int plateau = 0;
-        constexpr int kMaxPlateau = 2;
-        bool touched = false;
-        for (int iter = 0; iter < params.max_iterations && !budget.exhausted(); ++iter) {
-            if (wall_clock_expired() || shutdown_requested()) break;
-            const int depth = current.depth();
-            if (depth < 2) break;
-            const auto levels = current.compute_levels();
-
-            // Gather the timing-critical POs: one evaluation task per
-            // distinct driver node (a complemented sibling PO reuses the
-            // result with an inverted output), keyed to the first PO that
-            // references the driver.
-            struct ConeTask {
-                std::size_t po;
-            };
-            std::vector<ConeTask> tasks;
-            std::unordered_map<std::uint32_t, std::size_t> driver_task;
-            for (std::size_t o = 0; o < current.num_pos(); ++o) {
-                const AigLit driver = current.po(o);
-                if (levels[driver.node()] != depth) continue;
-                if (driver_task.emplace(driver.node(), tasks.size()).second)
-                    tasks.push_back({o});
-            }
-
-            // Fan the candidate evaluations across the workers. Workers
-            // only read `current` (cone extraction copies what they need)
-            // and build private cones, simulators, and SAT solvers. The
-            // work budget is never consulted here — every admitted task
-            // runs to completion, so the set of evaluated cones cannot
-            // depend on the schedule. Only the wall-clock rail may abandon
-            // a round, and then the whole round is discarded below.
-            std::vector<ConeEvaluation> evaluations(tasks.size());
-            {
-                const ScopedTimer evaluate_scope(evaluate_timer);
-                pool.parallel_for(0, tasks.size(), [&](std::size_t i) {
-                    // Stop dispatching: tasks that have not started yet are
-                    // skipped outright once a shutdown is requested (the
-                    // round below is discarded anyway).
-                    if (wall_clock_expired() || shutdown_requested()) return;
-                    // Task-boundary backstop: the retry ladder contains
-                    // faults inside the evaluation, so anything arriving
-                    // here escaped outside it (cone extraction, the memo
-                    // itself, allocation). The cone degrades to "keep
-                    // original structure" and the round continues.
-                    try {
-                        evaluations[i] = evaluate_cone(current, tasks[i].po);
-                    } catch (const std::exception& e) {
-                        // In-flight shutdown cancellation: leave the slot
-                        // empty, no fault record — the round is discarded.
-                        if (error_kind_of(e) == ErrorKind::Cancelled && shutdown_requested())
-                            return;
-                        ConeEvaluation degraded;
-                        FaultRecord record;
-                        record.kind = error_kind_of(e);
-                        const auto* lls_error = dynamic_cast<const LlsError*>(&e);
-                        record.stage = lls_error && !lls_error->stage().empty()
-                                           ? lls_error->stage()
-                                           : "evaluate";
-                        record.detail = e.what();
-                        degraded.faults.push_back(std::move(record));
-                        evaluations[i] = std::move(degraded);
-                    }
-                });
-            }
-            // Wall-clock interruption or shutdown: the partially evaluated
-            // round is discarded — never charged, never committed — so a
-            // resumed run retraces the uninterrupted trajectory exactly.
-            if (wall_clock_fired.load(std::memory_order_relaxed) || shutdown_requested()) break;
-
-            // Charge this round's deterministic cost, in task order, at a
-            // serial point. The round is fully evaluated by now and will be
-            // fully committed; exhaustion takes effect before the *next*
-            // round starts.
-            {
-                WorkCost round_cost;
-                for (const auto& evaluation : evaluations) round_cost += evaluation.cost;
-                budget.charge(round_cost);
-                work_decompositions.add(round_cost.decompositions);
-                work_eval_conflicts.add(round_cost.sat_conflicts);
-            }
-
-            // Round boundary: push the memo entries this round created to
-            // the persistent store. Serial point, after the charge — a
-            // publication failure is contained in the store and cannot
-            // perturb the budget stream or the round's results.
-            if (engine.warm_start && engine.use_result_cache) engine.warm_start->flush_round();
-
-            // Report contained faults at the same serial point, in task
-            // order, stamping each record with its cone — deterministic for
-            // every job count, memo hits included.
-            for (std::size_t i = 0; i < tasks.size(); ++i) {
-                for (FaultRecord record : evaluations[i].faults) {
-                    record.cone = static_cast<int>(tasks[i].po);
-                    record.cone_name = current.po_name(tasks[i].po);
-                    fault_records.add();
-                    if (record.recovered) fault_recovered.add();
-                    else fault_degraded.add();
-                    if (record.kind == ErrorKind::Cancelled) {
-                        ++local.deadline_cancelled;
-                        deadline_cancels.add();
-                    }
-                    if (record.stage == kMemgovStage && !record.recovered) {
-                        ++local.quota_degraded;
-                        quota_degrades.add();
-                    }
-                    local.faults.push_back(std::move(record));
-                }
-            }
-
-            // Serial commit in PO order: rebuild the circuit output by
-            // output, splicing in the verified candidates. The order is
-            // fixed, so the result is identical for every job count.
-            Aig next;
-            int improved_outputs = 0;
-            {
-                const ScopedTimer commit_scope(commit_timer);
-                std::vector<AigLit> pi_map;
-                pi_map.reserve(current.num_pis());
-                for (std::size_t i = 0; i < current.num_pis(); ++i)
-                    pi_map.push_back(next.add_pi(current.pi_name(i)));
-                const auto original_pos = append_aig(next, current, pi_map);
-
-                // Literal of the *uncomplemented* driver function per task,
-                // valid once the task's outcome has been appended.
-                std::vector<AigLit> task_base(tasks.size());
-                std::vector<bool> task_appended(tasks.size(), false);
-                for (std::size_t o = 0; o < current.num_pos(); ++o) {
-                    AigLit po_lit = original_pos[o];
-                    const AigLit driver = current.po(o);
-                    const auto it = levels[driver.node()] == depth
-                                        ? driver_task.find(driver.node())
-                                        : driver_task.end();
-                    if (it != driver_task.end() && evaluations[it->second].outcome) {
-                        const std::size_t t = it->second;
-                        const DecomposeOutcome& outcome = *evaluations[t].outcome;
-                        if (!task_appended[t]) {
-                            const auto new_outs = append_aig(next, outcome.aig, pi_map);
-                            const bool first_complemented =
-                                current.po(tasks[t].po).complemented();
-                            task_base[t] = first_complemented ? !new_outs[0] : new_outs[0];
-                            task_appended[t] = true;
-                            local.log.push_back(
-                                "iter " + std::to_string(iter) + " po " +
-                                current.po_name(tasks[t].po) + ": depth " +
-                                std::to_string(outcome.old_depth) + " -> " +
-                                std::to_string(outcome.new_depth) + " (" +
-                                std::to_string(outcome.num_windows) + " windows, " +
-                                outcome.reconstruction + ")");
-                        }
-                        po_lit = driver.complemented() ? !task_base[t] : task_base[t];
-                        ++improved_outputs;
-                    }
-                    next.add_po(po_lit, current.po_name(o));
-                }
-            }
-
-            Aig candidate = next.cleanup();
-            if (params.baseline_preoptimize) {
-                const ScopedTimer restructure_scope(restructure_timer);
-                for (int r = 0; r < 10; ++r) {
-                    Aig restructured = restructure_round(candidate);
-                    if (restructured.depth() >= candidate.depth()) break;
-                    candidate = std::move(restructured);
-                }
-            }
-            const bool small = candidate.count_reachable_ands() <= kPerIterationCheckLimit;
-            if (params.area_recovery && small) {
-                const ScopedTimer sweep_scope(sweep_timer);
-                WorkCost sweep_cost;
-                candidate = sat_sweep(candidate, rng, /*conflict_limit=*/2000,
-                                      /*num_patterns=*/1024, /*depth_aware=*/true,
-                                      serial_context(sweep_cost));
-                work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-            }
-
-            const int candidate_depth = candidate.depth();
-            if (candidate_depth > depth) break;  // regression: keep the best seen
-            if (candidate_depth == depth) {
-                if (improved_outputs == 0 || ++plateau > kMaxPlateau) break;
-            } else {
-                plateau = 0;
-            }
-            if (candidate.count_reachable_ands() > and_budget) break;  // runaway duplication
-
-            if (params.verify_each_iteration && small) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(candidate, current, /*conflict_limit=*/1000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    // A failed or unresolved check means this round cannot
-                    // be trusted; keep the last verified circuit.
-                    local.verified = local.verified && cec.resolved;
-                    break;
-                }
-            }
-
-            local.outputs_decomposed += improved_outputs;
-            ++local.iterations;
-            touched = true;
-            current = std::move(candidate);
-            if (better(current, best)) best = current;
-        }
-
-        // Pass-level area recovery and verification for circuits that were
-        // too large for per-iteration checks.
-        if (touched && best.count_reachable_ands() > kPerIterationCheckLimit) {
-            if (params.area_recovery) {
-                const ScopedTimer sweep_scope(sweep_timer);
-                WorkCost sweep_cost;
-                Aig swept = sat_sweep(best, rng, /*conflict_limit=*/2000, /*num_patterns=*/1024,
-                                      /*depth_aware=*/true, serial_context(sweep_cost));
-                work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-                if (!better(best, swept)) best = std::move(swept);
-            }
-            if (params.verify_each_iteration) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(best, original, /*conflict_limit=*/4000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    local.verified = local.verified && cec.resolved;
-                    best = original;  // cannot trust anything from this pass
-                }
-            }
-        }
-    };
-
-    // The passes run under a graceful-shutdown boundary: a Cancelled error
-    // raised by a poll in the *serial* stages (SAT sweeping, CEC,
-    // restructuring's solver work) unwinds to here and the run returns the
-    // best verified circuit so far. Anything else propagates unchanged.
-    try {
-        // Pass 1: decomposition starting from the raw circuit (deep chains
-        // are where the windows are easiest to find).
-        run_decomposition_loop(original);
-
-        // Pass 2: conventional restructuring alone, then decomposition on
-        // top of it — the paper's deployment ("complements existing logic
-        // optimization algorithms"). Whichever pass wins is returned.
-        if (params.baseline_preoptimize && !shutdown_requested()) {
-            Aig preopt = balance(original);
-            if (better(preopt, best)) best = preopt;
-            for (int r = 0; r < 10 && !shutdown_requested(); ++r) {
-                Aig restructured;
-                {
-                    const ScopedTimer restructure_scope(restructure_timer);
-                    restructured = restructure_round(preopt);
-                }
-                if (params.area_recovery) {
-                    const ScopedTimer sweep_scope(sweep_timer);
-                    WorkCost sweep_cost;
-                    restructured =
-                        sat_sweep(restructured, rng, /*conflict_limit=*/2000,
-                                  /*num_patterns=*/1024, /*depth_aware=*/true,
-                                  serial_context(sweep_cost));
-                    work_sweep_conflicts.add(sweep_cost.sat_conflicts);
-                }
-                if (restructured.depth() >= preopt.depth()) break;
-                preopt = std::move(restructured);
-            }
-            if (params.verify_each_iteration) {
-                const ScopedTimer cec_scope(cec_timer);
-                WorkCost cec_cost;
-                const CecResult cec =
-                    check_equivalence_memo(preopt, original, /*conflict_limit=*/1000000,
-                                           engine.use_result_cache, serial_context(cec_cost),
-                                           engine.warm_start);
-                work_cec_conflicts.add(cec_cost.sat_conflicts);
-                if (!cec.resolved || !cec.equivalent) {
-                    local.verified = local.verified && cec.resolved;
-                    preopt = original;
-                }
-            }
-            if (better(preopt, best)) best = preopt;
-            if (preopt.depth() < original.depth() && !shutdown_requested())
-                run_decomposition_loop(preopt);
-        }
-    } catch (const std::exception& e) {
-        if (error_kind_of(e) != ErrorKind::Cancelled || !shutdown_requested()) throw;
     }
 
-    local.cancelled = shutdown_requested();
-    if (local.cancelled) shutdown_stops.add();
-    local.final_depth = best.depth();
-    local.final_ands = best.count_reachable_ands();
-    local.work_units = budget.spent();
-    local.budget_exhausted = budget.exhausted();
-    local.wall_clock_interrupted = wall_clock_fired.load(std::memory_order_relaxed);
-    if (local.budget_exhausted) budget_stops.add();
-    if (local.wall_clock_interrupted) wall_clock_stops.add();
-    rounds_run.add(static_cast<std::uint64_t>(local.iterations));
-    cones_improved.add(static_cast<std::uint64_t>(local.outputs_decomposed));
+    const LookaheadParams& params;
+    const EngineOptions& engine;
+    EngineMeters& meters;
+    // The calling thread participates in parallel_for, so jobs - 1 workers
+    // apply exactly `jobs` threads to the cone fan-out.
+    ThreadPool pool;
+    const FaultPlan fault_plan;
+    const std::uint64_t fingerprint;
+    // Master RNG of the *serial* stages (SAT sweeping). Cone evaluation
+    // never draws from it: each cone seeds its own generator from (params
+    // fingerprint, cone hash), so the fan-out order — and therefore the job
+    // count — cannot influence any outcome.
+    Rng rng;
+    const Aig original;
+    // Deterministic work budget, charged only at serial points with each
+    // round's per-cone costs, so `exhausted()` is a pure function of the
+    // work performed — identical on every thread schedule.
+    WorkBudget budget;
+    // Process/batch shutdown token for the serial stages, so a SIGTERM
+    // reaches the polls in SAT sweeping and CEC too.
+    const CancelScope serial_cancel_scope;
+    OptimizeStats stats;
+    std::size_t and_budget = 0;
+    Aig best;
+};
+
+/// The timing-critical POs of one round: one evaluation task per distinct
+/// critical driver node, keyed to the first PO that references it (a
+/// complemented sibling PO reuses the result with an inverted output).
+struct Round {
+    int depth = 0;
+    std::vector<int> levels;
+    std::vector<std::size_t> task_po;
+    std::unordered_map<std::uint32_t, std::size_t> driver_task;
+};
+
+Round gather(const Aig& current, int depth) {
+    Round round;
+    round.depth = depth;
+    round.levels = current.compute_levels();
+    for (std::size_t o = 0; o < current.num_pos(); ++o) {
+        const AigLit driver = current.po(o);
+        if (round.levels[driver.node()] != depth) continue;
+        if (round.driver_task.emplace(driver.node(), round.task_po.size()).second)
+            round.task_po.push_back(o);
+    }
+    return round;
+}
+
+/// The fault record of an exception that escaped a cone evaluation: its
+/// kind, the LlsError stage ("evaluate" when it names none) and message.
+FaultRecord fault_record_of(const std::exception& e) {
+    FaultRecord record;
+    record.kind = error_kind_of(e);
+    const auto* lls_error = dynamic_cast<const LlsError*>(&e);
+    record.stage = lls_error && !lls_error->stage().empty() ? lls_error->stage() : "evaluate";
+    record.detail = e.what();
+    return record;
+}
+
+/// Evaluates one cone through the retry ladder. When an exception escapes
+/// a rung, the next rung retries the cone. Every rung re-seeds the cone RNG
+/// identically and charges its work to the evaluation's cost, so the ladder
+/// — like the fault injection that exercises it — is a pure function of
+/// (cone, params): bit-identical across job counts, and replayed verbatim
+/// on a memo hit. A cone whose last rung still faults degrades to "no
+/// improvement" (the commit keeps its original structure) with
+/// `recovered = false` in the record.
+ConeEvaluation run_retry_ladder(const RunState& run, const Aig& cone, std::uint64_t cone_hash) {
+    const LookaheadParams& params = run.params;
+    run.meters.cones_evaluated.add();
+    // Watchdog: arm the per-cone deadline (when configured) and expose the
+    // shutdown token to every poll site this evaluation reaches.
+    const Deadline cone_deadline = params.cone_deadline_seconds > 0.0
+                                       ? Deadline::after_seconds(params.cone_deadline_seconds)
+                                       : Deadline();
+    const CancelScope cancel_scope(run.engine.cancel, &cone_deadline);
+    ConeEvaluation evaluation;
+    FaultRecord record;
+    bool faulted = false;
+    for (int rung = 0; rung < kNumRungs; ++rung) {
+        LookaheadParams rung_params = params;
+        if (rung == 1)
+            rung_params.sat_conflict_limit =
+                std::max<std::int64_t>(params.sat_conflict_limit, 1) * 16;
+        const FaultContext fault_context(&run.fault_plan, rung);
+        // Tier-1 quota, fresh per rung, so the point an exhaustion fires is
+        // a pure function of (cone, params, rung).
+        MemoryQuota quota(params.cone_mem_bytes);
+        // The one plumbing path down the decompose -> reduce -> simplify ->
+        // cec -> sat stack.
+        RunContext ctx;
+        ctx.cost = &evaluation.cost;
+        ctx.faults = &fault_context;
+        ctx.cancel = run.engine.cancel;
+        ctx.deadline = &cone_deadline;
+        ctx.metrics = &run.meters.metrics;
+        if (params.cone_mem_bytes != 0) ctx.mem_quota = &quota;
+        ctx.governor = run.engine.governor;
+        Rng cone_rng(hash_mix(run.fingerprint, cone_hash));
+        try {
+            if (auto outcome = decompose_output(cone, rung_params, cone_rng, ctx))
+                evaluation.outcome = std::make_shared<const DecomposeOutcome>(std::move(*outcome));
+            if (faulted) {
+                record.retries.push_back(std::string(kRungLabel[rung]) + ": ok");
+                record.recovered = true;
+            }
+            break;
+        } catch (const std::exception& e) {
+            const ErrorKind kind = error_kind_of(e);
+            // A shutdown cancellation propagates: the round is about to be
+            // discarded, so nothing is recorded or memoized for this cone.
+            if (kind == ErrorKind::Cancelled && run.shutdown_requested()) throw;
+            if (!faulted) {
+                faulted = true;
+                record = fault_record_of(e);
+            } else {
+                record.retries.push_back(std::string(kRungLabel[rung]) + ": " +
+                                         error_kind_name(kind));
+            }
+            // A fired cone watchdog (or an injected `cancel` fault) ends the
+            // ladder: retrying under an expired deadline cannot complete,
+            // and the outcome depends on wall clock, so the evaluation is
+            // kept out of the memo.
+            if (kind == ErrorKind::Cancelled) {
+                evaluation.timing_dependent = true;
+                break;
+            }
+            // Tier-1 quota exhaustion also ends the ladder: the escalated
+            // rung only grows the footprint, so it would deterministically
+            // re-fail. The evaluation memoizes and is never "recovered".
+            const auto* lls_error = dynamic_cast<const LlsError*>(&e);
+            if (lls_error != nullptr && lls_error->stage() == kMemgovStage) break;
+        }
+    }
+    if (faulted) evaluation.faults.push_back(std::move(record));
+    return evaluation;
+}
+
+/// Evaluation of one candidate with the decomposition memo in front: a pure
+/// function of (current, po, params), including its work cost and fault
+/// history, which the memo stores alongside the outcome.
+ConeEvaluation evaluate_cone(const RunState& run, const Aig& current, std::size_t po) {
+    const Aig cone = extract_cone(current, po);
+    const std::uint64_t cone_hash = cone.hash();
+    if (!run.engine.use_result_cache) return run_retry_ladder(run, cone, cone_hash);
+    // Explicit get/put instead of get_or_compute so a hit on an entry the
+    // persistent store imported can be metered as a warm hit.
+    const std::pair<std::uint64_t, std::uint64_t> key{cone_hash, run.fingerprint};
+    if (auto cached = decompose_memo().get(key)) {
+        if (run.engine.warm_start)
+            run.engine.warm_start->note_decompose_hit(cone_hash, run.fingerprint);
+        return std::move(*cached);
+    }
+    ConeEvaluation value = run_retry_ladder(run, cone, cone_hash);
+    if (!value.timing_dependent) decompose_memo().put(key, value);
+    return value;
+}
+
+/// Fans the round's cone evaluations across the pool. Workers only read
+/// `current` and build private cones, simulators and SAT solvers. The work
+/// budget is never consulted here — every admitted task runs to
+/// completion, so the set of evaluated cones cannot depend on the schedule.
+std::vector<ConeEvaluation> evaluate(RunState& run, const Aig& current, const Round& round) {
+    std::vector<ConeEvaluation> evaluations(round.task_po.size());
+    const ScopedTimer scope(run.meters.evaluate);
+    run.pool.parallel_for(0, evaluations.size(), [&](std::size_t i) {
+        // Once a shutdown is requested, tasks not yet started are skipped
+        // (the round is discarded anyway).
+        if (run.shutdown_requested()) return;
+        // Task-boundary backstop: the retry ladder contains faults inside
+        // the evaluation, so anything arriving here escaped outside it
+        // (cone extraction, the memo, allocation). The cone degrades to
+        // "keep original structure" and the round continues.
+        try {
+            evaluations[i] = evaluate_cone(run, current, round.task_po[i]);
+        } catch (const std::exception& e) {
+            // In-flight shutdown: leave the slot empty, no fault record.
+            if (error_kind_of(e) == ErrorKind::Cancelled && run.shutdown_requested()) return;
+            evaluations[i].faults.push_back(fault_record_of(e));
+        }
+    });
+    return evaluations;
+}
+
+/// The serial point after a fully evaluated round: charges its
+/// deterministic cost in task order (exhaustion takes effect before the
+/// *next* round), publishes new memo entries to the persistent store, and
+/// reports contained faults in task order, stamped with their cone.
+void account(RunState& run, const Aig& current, const Round& round,
+             const std::vector<ConeEvaluation>& evaluations) {
+    EngineMeters& m = run.meters;
+    WorkCost round_cost;
+    for (const auto& evaluation : evaluations) round_cost += evaluation.cost;
+    run.budget.charge(round_cost);
+    m.work_decompositions.add(round_cost.decompositions);
+    m.work_eval_conflicts.add(round_cost.sat_conflicts);
+    // After the charge: a publication failure is contained in the store
+    // and cannot perturb the budget stream or the round's results.
+    if (run.engine.warm_start && run.engine.use_result_cache) run.engine.warm_start->flush_round();
+    for (std::size_t i = 0; i < evaluations.size(); ++i) {
+        for (FaultRecord record : evaluations[i].faults) {
+            record.cone = static_cast<int>(round.task_po[i]);
+            record.cone_name = current.po_name(round.task_po[i]);
+            m.fault_records.add();
+            if (record.recovered) m.fault_recovered.add();
+            else m.fault_degraded.add();
+            if (record.kind == ErrorKind::Cancelled) {
+                ++run.stats.deadline_cancelled;
+                m.deadline_cancels.add();
+            }
+            if (record.stage == kMemgovStage && !record.recovered) {
+                ++run.stats.quota_degraded;
+                m.quota_degrades.add();
+            }
+            run.stats.faults.push_back(std::move(record));
+        }
+    }
+}
+
+/// Serial commit in PO order: rebuilds the circuit output by output,
+/// splicing in the verified candidates. The order is fixed, so the result
+/// is identical for every job count.
+Aig commit(RunState& run, const Aig& current, const Round& round,
+           const std::vector<ConeEvaluation>& evaluations, int iter, int* improved_outputs) {
+    const ScopedTimer scope(run.meters.commit);
+    Aig next;
+    std::vector<AigLit> pi_map;
+    pi_map.reserve(current.num_pis());
+    for (std::size_t i = 0; i < current.num_pis(); ++i)
+        pi_map.push_back(next.add_pi(current.pi_name(i)));
+    const auto original_pos = append_aig(next, current, pi_map);
+
+    // Literal of the *uncomplemented* driver function per task, valid once
+    // the task's outcome has been appended.
+    std::vector<AigLit> task_base(evaluations.size());
+    std::vector<bool> task_appended(evaluations.size(), false);
+    for (std::size_t o = 0; o < current.num_pos(); ++o) {
+        AigLit po_lit = original_pos[o];
+        const AigLit driver = current.po(o);
+        const auto it = round.levels[driver.node()] == round.depth
+                            ? round.driver_task.find(driver.node())
+                            : round.driver_task.end();
+        if (it != round.driver_task.end() && evaluations[it->second].outcome) {
+            const std::size_t t = it->second;
+            const DecomposeOutcome& outcome = *evaluations[t].outcome;
+            if (!task_appended[t]) {
+                const auto new_outs = append_aig(next, outcome.aig, pi_map);
+                const bool first_complemented = current.po(round.task_po[t]).complemented();
+                task_base[t] = first_complemented ? !new_outs[0] : new_outs[0];
+                task_appended[t] = true;
+                run.stats.log.push_back(
+                    "iter " + std::to_string(iter) + " po " +
+                    current.po_name(round.task_po[t]) + ": depth " +
+                    std::to_string(outcome.old_depth) + " -> " +
+                    std::to_string(outcome.new_depth) + " (" +
+                    std::to_string(outcome.num_windows) + " windows, " +
+                    outcome.reconstruction + ")");
+            }
+            po_lit = driver.complemented() ? !task_base[t] : task_base[t];
+            ++*improved_outputs;
+        }
+        next.add_po(po_lit, current.po_name(o));
+    }
+    return next;
+}
+
+/// Conventional delay-oriented restructuring until the depth stops falling
+/// — the step that flattens the freshly built window/mux logic into the
+/// prefix-style trees of the paper's Eqn. 2.
+Aig restructure_rounds(RunState& run, Aig candidate) {
+    const ScopedTimer scope(run.meters.restructure);
+    for (int r = 0; r < kMaxRestructureRounds; ++r) {
+        Aig restructured = restructure_round(candidate);
+        if (restructured.depth() >= candidate.depth()) break;
+        candidate = std::move(restructured);
+    }
+    return candidate;
+}
+
+/// Depth-aware SAT sweeping (area recovery), drawing from the serial RNG.
+Aig sweep(RunState& run, const Aig& aig) {
+    const ScopedTimer scope(run.meters.sweep);
+    WorkCost cost;
+    Aig swept = sat_sweep(aig, run.rng, /*conflict_limit=*/2000, /*num_patterns=*/1024,
+                          /*depth_aware=*/true, run.serial_context(cost));
+    run.meters.work_sweep_conflicts.add(cost.sat_conflicts);
+    return swept;
+}
+
+/// CEC of `a` against `b` through the verdict memo. A failed or unresolved
+/// check returns false, and an unresolved one clears `stats.verified`.
+bool verify(RunState& run, const Aig& a, const Aig& b, std::int64_t conflict_limit) {
+    const ScopedTimer scope(run.meters.cec);
+    WorkCost cost;
+    const CecResult cec = check_equivalence_memo(a, b, conflict_limit, run.engine.use_result_cache,
+                                                 run.serial_context(cost), run.engine.warm_start);
+    run.meters.work_cec_conflicts.add(cost.sat_conflicts);
+    if (cec.resolved && cec.equivalent) return true;
+    run.stats.verified = run.stats.verified && cec.resolved;
+    return false;
+}
+
+/// One decomposition pass from `current`. Each round applies one level of
+/// lookahead decomposition to every critical output, then restructures and
+/// sweeps. A depth-flat round is tolerated up to kMaxPlateau times (the
+/// window form often pays off only once a later round flattens it); the
+/// best circuit seen anywhere is kept in `run.best`.
+void decomposition_pass(RunState& run, Aig current) {
+    const LookaheadParams& params = run.params;
+    int plateau = 0;
+    bool touched = false;
+    for (int iter = 0; iter < params.max_iterations && !run.budget.exhausted(); ++iter) {
+        if (run.shutdown_requested()) break;
+        const int depth = current.depth();
+        if (depth < 2) break;
+        const Round round = gather(current, depth);
+        const std::vector<ConeEvaluation> evaluations = evaluate(run, current, round);
+        // Shutdown: the partially evaluated round is discarded — never
+        // charged, never committed — so a resumed run retraces the
+        // uninterrupted trajectory exactly.
+        if (run.shutdown_requested()) break;
+        account(run, current, round, evaluations);
+        int improved_outputs = 0;
+        Aig candidate = commit(run, current, round, evaluations, iter, &improved_outputs).cleanup();
+        if (params.baseline_preoptimize) candidate = restructure_rounds(run, std::move(candidate));
+        const bool small = candidate.count_reachable_ands() <= kPerIterationCheckLimit;
+        if (params.area_recovery && small) candidate = sweep(run, candidate);
+
+        const int candidate_depth = candidate.depth();
+        if (candidate_depth > depth) break;  // regression: keep the best seen
+        if (candidate_depth == depth) {
+            if (improved_outputs == 0 || ++plateau > kMaxPlateau) break;
+        } else {
+            plateau = 0;
+        }
+        if (candidate.count_reachable_ands() > run.and_budget) break;  // runaway duplication
+        // A failed or unresolved check means this round cannot be trusted;
+        // keep the last verified circuit.
+        if (params.verify_each_iteration && small && !verify(run, candidate, current, 1000000))
+            break;
+
+        run.stats.outputs_decomposed += improved_outputs;
+        ++run.stats.iterations;
+        touched = true;
+        current = std::move(candidate);
+        if (better(current, run.best)) run.best = current;
+    }
+
+    // Pass-level area recovery and verification for circuits that were too
+    // large for per-round checks.
+    if (!touched || run.best.count_reachable_ands() <= kPerIterationCheckLimit) return;
+    if (params.area_recovery) {
+        Aig swept = sweep(run, run.best);
+        if (!better(run.best, swept)) run.best = std::move(swept);
+    }
+    if (params.verify_each_iteration && !verify(run, run.best, run.original, 4000000))
+        run.best = run.original;  // cannot trust anything from this pass
+}
+
+/// Conventional restructuring alone from the raw circuit, each round swept,
+/// until the depth stops falling; returns the verified result (or the
+/// original when its check fails).
+Aig preoptimize(RunState& run) {
+    Aig preopt = balance(run.original);
+    if (better(preopt, run.best)) run.best = preopt;
+    for (int r = 0; r < kMaxRestructureRounds && !run.shutdown_requested(); ++r) {
+        Aig restructured;
+        {
+            const ScopedTimer scope(run.meters.restructure);
+            restructured = restructure_round(preopt);
+        }
+        if (run.params.area_recovery) restructured = sweep(run, restructured);
+        if (restructured.depth() >= preopt.depth()) break;
+        preopt = std::move(restructured);
+    }
+    if (run.params.verify_each_iteration && !verify(run, preopt, run.original, 1000000))
+        preopt = run.original;
+    if (better(preopt, run.best)) run.best = preopt;
+    return preopt;
+}
+
+/// Fills the caller's stats and the run-level metrics; returns the best
+/// verified circuit.
+Aig finalize(RunState& run, OptimizeStats* stats) {
+    EngineMeters& m = run.meters;
+    OptimizeStats& local = run.stats;
+    local.cancelled = run.shutdown_requested();
+    if (local.cancelled) m.shutdown_stops.add();
+    local.final_depth = run.best.depth();
+    local.final_ands = run.best.count_reachable_ands();
+    local.work_units = run.budget.spent();
+    local.budget_exhausted = run.budget.exhausted();
+    if (local.budget_exhausted) m.budget_stops.add();
+    m.rounds.add(static_cast<std::uint64_t>(local.iterations));
+    m.cones_improved.add(static_cast<std::uint64_t>(local.outputs_decomposed));
     // Indices an exception-aborted fan-out skipped.
-    if (pool.aborted_indices() > 0)
-        metrics.counter("engine.pool.aborted_indices").add(pool.aborted_indices());
+    if (run.pool.aborted_indices() > 0)
+        m.metrics.counter("engine.pool.aborted_indices").add(run.pool.aborted_indices());
     // Time the run-private pool's threads spent waiting idle across this
     // run's cone fan-outs. The timer keeps its historical name because the
     // benchmark's per-layer list reads it.
-    if (pool.size() > 0)
-        metrics.timer("engine.intracone.idle_wait").add_nanos(pool.idle_wait_nanos());
-    if (engine.governor != nullptr) sync_governor_metrics(metrics, *engine.governor);
+    if (run.pool.size() > 0)
+        m.metrics.timer("engine.intracone.idle_wait").add_nanos(run.pool.idle_wait_nanos());
+    if (run.engine.governor != nullptr) sync_governor_metrics(m.metrics, *run.engine.governor);
     if (stats) *stats = local;
-    return best;
+    return std::move(run.best);
+}
+
+}  // namespace
+
+Aig optimize_timing_engine(const Aig& input, const LookaheadParams& params,
+                           const EngineOptions& engine, OptimizeStats* stats) {
+    EngineMeters meters(Metrics::global());
+    const ScopedTimer total_scope(meters.total);
+    meters.runs.add();
+    RunState run(input, params, engine, meters);
+    // The passes run under a graceful-shutdown boundary: a Cancelled error
+    // raised by a poll in the serial stages unwinds to here and the run
+    // returns the best verified circuit so far. Anything else propagates.
+    try {
+        // Pass 1: decomposition from the raw circuit (deep chains are where
+        // the windows are easiest to find).
+        decomposition_pass(run, run.original);
+        // Pass 2: conventional restructuring alone, then decomposition on
+        // top of it — the paper's deployment ("complements existing logic
+        // optimization algorithms"). Whichever pass wins is returned.
+        if (params.baseline_preoptimize && !run.shutdown_requested()) {
+            const Aig preopt = preoptimize(run);
+            if (preopt.depth() < run.original.depth() && !run.shutdown_requested())
+                decomposition_pass(run, preopt);
+        }
+    } catch (const std::exception& e) {
+        if (error_kind_of(e) != ErrorKind::Cancelled || !run.shutdown_requested()) throw;
+    }
+    return finalize(run, stats);
 }
 
 Aig optimize_timing(const Aig& input, const LookaheadParams& params, OptimizeStats* stats) {

@@ -19,9 +19,7 @@ class WarmStart;
 /// Execution knobs of the concurrent optimization engine. These control
 /// *how* the flow runs, never *what* it computes: the result is
 /// bit-identical for every `jobs` value, including runs bounded by the
-/// deterministic `params.work_budget`. The only escape hatch is the
-/// wall-clock safety rail `params.time_budget_seconds`, which is reported
-/// as nondeterministic when it fires (see docs/ENGINE.md, "Determinism
+/// deterministic `params.work_budget` (see docs/ENGINE.md, "Determinism
 /// contract" and "Budget semantics").
 struct EngineOptions {
     /// Worker threads used to evaluate per-cone decomposition candidates
@@ -53,7 +51,7 @@ struct EngineOptions {
     /// Tier-2 global memory accountant (common/memgov.hpp), or nullptr for
     /// none. The engine keeps it bound through every solver the run creates
     /// (via RunContext) and in batch mode gates item dispatch on its
-    /// admission hold. Like `params.time_budget_seconds` this is a wall
+    /// admission hold. Like `params.cone_deadline_seconds` this is a wall
     /// rail: crossing the budget changes *when* caches shed and items
     /// dispatch, never what any committed result contains — shedding only
     /// evicts pure memos and admission only delays starts — so outputs

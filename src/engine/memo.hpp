@@ -11,7 +11,6 @@
 
 #include "common/budget.hpp"
 #include "common/fault.hpp"
-#include "common/run_context.hpp"
 #include "engine/cache.hpp"
 #include "lookahead/decompose.hpp"
 
@@ -40,18 +39,6 @@ struct ConeEvaluation {
     /// slow run cannot poison the byte-identity of later runs.
     bool timing_dependent = false;
 };
-
-/// Seed of the per-cone RunContext: a context whose deterministic
-/// work-cost sink is the evaluation being computed, so every unit a cone's
-/// decomposition spends lands in the record the memo stores (and replays
-/// on a hit). The engine fills in the remaining fields — fault context,
-/// cancellation sources, exact-verify switch, metrics — before handing the
-/// context down the decompose → reduce → simplify → cec → sat stack.
-inline RunContext cone_run_context(ConeEvaluation& evaluation) {
-    RunContext ctx;
-    ctx.cost = &evaluation.cost;
-    return ctx;
-}
 
 /// Decomposition memo: (cone structural hash, params fingerprint) -> the
 /// evaluation. Shared across runs in the process.

@@ -4,11 +4,8 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 
 #include "aig/aig_build.hpp"
-#include "bdd/aig_bdd.hpp"
-#include "bdd/bdd.hpp"
 #include "cec/cec.hpp"
 #include "common/bitops.hpp"
 #include "common/cancel.hpp"
@@ -49,18 +46,11 @@ Metrics& metrics_of(const RunContext& ctx) {
 
 /// One node's don't-care proof obligation in secondary simplification: the
 /// candidate minterms no !Sigma_1 pattern reached, to be proven genuinely
-/// unreachable by SAT (one independent query per minterm). Tasks are
-/// self-contained — each runs against its own solver encoding of the same
-/// pre-simplification network snapshot — so verdicts and per-task conflict
-/// counts are a function of the task alone.
+/// unreachable by SAT (one query per minterm).
 struct DcProofTask {
     std::uint32_t node = 0;
     TruthTable dc;                        ///< proven don't-cares (pre-filled when exhaustive)
     std::vector<std::uint32_t> queries;   ///< minterms still needing a SAT proof
-    std::vector<char> verdicts;           ///< parallel to `queries`; 1 = proven unreachable
-    std::uint64_t conflicts = 0;          ///< this task's solver conflicts
-    std::uint64_t mem_bytes = 0;          ///< this task's quota-counted bytes
-    std::exception_ptr error;             ///< contained failure, rethrown at the join
 };
 
 /// The decomposition body; `ctx.cost` (non-null here — the public wrapper
@@ -180,10 +170,9 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             ctx.charge_memory(snapshot.num_nodes() * memcost::kAigNodeBytes);
         }
 
-        // Phase A (serial): collect per-node don't-care candidates from the
-        // sampled signatures. Node functions are untouched during this and
-        // the proof phase, so `net`, `snapshot`, and `sigs` are read-only
-        // shared state for the tasks below.
+        // Collect per-node don't-care candidates from the sampled
+        // signatures. Node functions are untouched until the commit below,
+        // so every proof runs against the same snapshot.
         std::vector<DcProofTask> proof_tasks;
         const auto y1_levels = net.compute_sop_levels();
         for (const auto node : net.cone_of(y1_root)) {
@@ -220,89 +209,47 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             proof_tasks.push_back(std::move(task));
         }
 
-        // Phase B: prove the candidates, task by task. Each task encodes
-        // the snapshot into its own solver and runs its minterm queries in
-        // minterm order. An error is recorded in its task and stops the
-        // phase; the join below charges conflicts in task order up to the
-        // first error and rethrows it.
-        if (need_sat && !proof_tasks.empty()) {
-            // Tier-1 headroom snapshot: each proof task charges a
-            // *task-local* quota bounded by the same snapshot, and the join
-            // below merges the task byte counts into the cone quota in
-            // fixed task order — the same discipline as the conflict
-            // charges. An exhausted snapshot (0 headroom) clamps to 1 so
-            // any task allocation still trips deterministically.
-            const std::uint64_t task_quota_limit =
-                ctx.mem_quota == nullptr
-                    ? 0
-                    : std::max<std::uint64_t>(1, ctx.mem_quota->remaining());
-            auto run_task = [&](DcProofTask& task) {
-                RunContext task_ctx = ctx;
-                MemoryQuota task_quota(task_quota_limit);
-                task_ctx.mem_quota = ctx.mem_quota != nullptr ? &task_quota : nullptr;
+        // Prove the candidates, task by task: each task encodes the
+        // snapshot into its own solver and runs its minterm queries in
+        // minterm order. Its conflicts are charged on every exit path, so
+        // a faulted rung costs what it spent.
+        if (need_sat) {
+            std::uint64_t sat_queries = 0;
+            for (DcProofTask& task : proof_tasks) {
+                sat_queries += task.queries.size();
                 sat::Solver solver;
-                solver.bind_run_context(&task_ctx);
+                solver.bind_run_context(&ctx);
                 try {
                     std::vector<int> pi_vars(snapshot.num_pis());
                     for (auto& v : pi_vars) v = solver.new_var();
                     const auto aig_lits = encode_aig_nodes(snapshot, solver, pi_vars);
                     const sat::Lit sigma_lit = sat_lit_of(aig_lits, node_map[sigma]);
                     const auto& fanins = net.fanins(task.node);
-                    task.verdicts.assign(task.queries.size(), 0);
-                    for (std::size_t q = 0; q < task.queries.size(); ++q) {
+                    for (const std::uint32_t minterm : task.queries) {
                         // Between-queries poll: a fired cone deadline (or a
-                        // shutdown) stops the sweep at the next query
-                        // boundary instead of grinding through the rest of
-                        // the proof batch.
+                        // shutdown) stops at the next query boundary.
                         ctx.poll_cancellation("simplify");
-                        const std::uint32_t minterm = task.queries[q];
                         std::vector<sat::Lit> assumptions{!sigma_lit};
                         for (std::size_t f = 0; f < fanins.size(); ++f) {
                             const sat::Lit l = sat_lit_of(aig_lits, node_map[fanins[f]]);
                             assumptions.push_back(((minterm >> f) & 1) ? l : !l);
                         }
-                        task.verdicts[q] =
-                            solver.solve(assumptions, params.sat_conflict_limit) ==
-                            sat::Status::Unsat;
+                        if (solver.solve(assumptions, params.sat_conflict_limit) ==
+                            sat::Status::Unsat)
+                            task.dc.set_bit(minterm, true);
                     }
                 } catch (...) {
-                    task.error = std::current_exception();
+                    cost.sat_conflicts += static_cast<std::uint64_t>(solver.num_conflicts());
+                    metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
+                    throw;
                 }
-                task.conflicts = static_cast<std::uint64_t>(solver.num_conflicts());
-                task.mem_bytes = task_quota.charged();
-            };
-
-            for (DcProofTask& task : proof_tasks) {
-                run_task(task);
-                if (task.error) break;
-            }
-
-            // Join: resolve verdicts and charge conflicts in task order. On
-            // error, charge through the failing task (its partial conflicts
-            // are a pure function of the task for deterministic kinds like
-            // ResourceExhausted) and rethrow.
-            std::uint64_t sat_queries = 0;
-            std::exception_ptr first_error;
-            for (DcProofTask& task : proof_tasks) {
-                cost.sat_conflicts += task.conflicts;
-                sat_queries += task.queries.size();
-                // Merge the task's counted bytes into the cone quota at
-                // this fixed-order point; an exhaustion raised here is the
-                // deterministic Tier-1 fault, identical on every schedule.
-                if (ctx.mem_quota != nullptr) ctx.mem_quota->charge(task.mem_bytes);
-                if (task.error) {
-                    first_error = task.error;
-                    break;
-                }
-                for (std::size_t q = 0; q < task.queries.size(); ++q)
-                    if (task.verdicts[q]) task.dc.set_bit(task.queries[q], true);
+                cost.sat_conflicts += static_cast<std::uint64_t>(solver.num_conflicts());
             }
             // Historical name, kept because the benchmark's per-layer list reads it.
             metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
-            if (first_error) std::rethrow_exception(first_error);
         }
 
-        // Phase C (serial): commit the proven don't-cares in cone order.
+        // Commit the proven don't-cares in cone order.
         for (const DcProofTask& task : proof_tasks) {
             if (task.dc.is_const0()) continue;
             const TruthTable& f = net.function(task.node);
@@ -399,41 +346,8 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
                 levels[a.node()], levels[b.node()]);
     if (new_depth > old_depth) return std::nullopt;
     ctx.check_fault("cec", "cec");
-    if (ctx.exact_verify) {
-        // Last-resort rung of the engine's retry ladder: canonical BDDs
-        // in a private manager decide equivalence exactly instead of
-        // bounding SAT effort, so the resource boundary is a pure function
-        // of (cone, params).
-        bool equivalent = false;
-        if (ctx.mem_quota != nullptr) {
-            // Private manager with a node cap derived from the quota
-            // headroom. When the quota is the binding constraint (not the
-            // configured BDD limit), running the manager dry *is* quota
-            // exhaustion — converted into the canonical memgov fault.
-            const std::uint64_t headroom = ctx.mem_quota->remaining();
-            const std::uint64_t quota_nodes = headroom / memcost::kBddNodeBytes;
-            const bool quota_capped = quota_nodes < ctx.exact_verify_bdd_limit;
-            const std::size_t node_cap = static_cast<std::size_t>(std::clamp<std::uint64_t>(
-                std::min<std::uint64_t>(ctx.exact_verify_bdd_limit, quota_nodes), 2,
-                std::uint64_t{1} << 22));
-            try {
-                BddManager priv(static_cast<int>(std::max(result.num_pis(), cone.num_pis())),
-                                node_cap);
-                equivalent = bdd_equivalent(result, cone, priv);
-                ctx.mem_quota->charge(priv.num_nodes() * memcost::kBddNodeBytes);
-            } catch (const LlsError& e) {
-                if (e.kind() == ErrorKind::ResourceExhausted && quota_capped)
-                    ctx.mem_quota->charge(headroom + 1);  // throws the memgov fault
-                throw;
-            }
-        } else {
-            equivalent = bdd_equivalent(result, cone, ctx.exact_verify_bdd_limit);
-        }
-        if (!equivalent) return std::nullopt;
-    } else {
-        const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);
-        if (!cec.resolved || !cec.equivalent) return std::nullopt;
-    }
+    const CecResult cec = check_equivalence(result, cone, /*conflict_limit=*/500000, ctx);
+    if (!cec.resolved || !cec.equivalent) return std::nullopt;
 
     DecomposeOutcome outcome;
     outcome.aig = std::move(result);

@@ -42,8 +42,7 @@ struct DecomposeOutcome {
 /// `reduce_cone`, and every SAT conflict of the don't-care, implication,
 /// and verification queries — a pure function of (cone, params, rng seed),
 /// which budgeted determinism rests on); `faults` carries the injection
-/// context of the current retry rung; `exact_verify` selects the rung-2
-/// exact (private-manager BDD) equivalence check.
+/// context of the current retry rung.
 ///
 /// Work spent before an exception is still merged into `ctx.cost`, so a
 /// faulted rung charges the budget exactly like a completed one.

@@ -25,15 +25,10 @@ struct OptimizeStats {
     /// The deterministic work budget stopped the run before the iteration
     /// limit. The result is still bit-identical across `--jobs` values.
     bool budget_exhausted = false;
-    /// The wall-clock safety rail (`time_budget_seconds`) fired: the
-    /// in-flight round was discarded and the result is timing-dependent —
-    /// reruns may differ. Never set on purely work-budgeted runs.
-    bool wall_clock_interrupted = false;
     /// Cone evaluations cancelled by the per-cone deadline watchdog
-    /// (`cone_deadline_seconds`). Like `wall_clock_interrupted`, nonzero
-    /// means the result is timing-dependent: a rerun may cancel different
-    /// cones (or none). Each cancelled cone also appears in `faults` as a
-    /// FaultRecord{Cancelled}.
+    /// (`cone_deadline_seconds`). Nonzero means the result is
+    /// timing-dependent: a rerun may cancel different cones (or none). Each
+    /// cancelled cone also appears in `faults` as a FaultRecord{Cancelled}.
     int deadline_cancelled = 0;
     /// Cones degraded to their original structure by the deterministic
     /// per-cone memory quota (`params.cone_mem_bytes`). Unlike

@@ -62,22 +62,13 @@ struct LookaheadParams {
     /// the best verified circuit found so far is returned.
     std::uint64_t work_budget = 0;
 
-    /// Wall-clock *safety rail* in seconds (0 = none). Unlike
-    /// `work_budget` this is inherently nondeterministic: when it fires,
-    /// the in-flight round is discarded, the run stops, and the result is
-    /// flagged as timing-dependent (`OptimizeStats::wall_clock_interrupted`,
-    /// `engine.wall_clock_interrupts` in --metrics). Use `work_budget` for
-    /// reproducible budgeted runs; keep this only as a hard upper bound.
-    double time_budget_seconds = 0.0;
-
     /// Per-cone wall-clock watchdog in seconds (0 = off). Each cone
     /// evaluation arms a Deadline (common/cancel.hpp) when it starts; an
     /// evaluation that outlives it is cancelled at its next poll and the
     /// cone degrades to its original form with a FaultRecord{Cancelled} —
-    /// the same containment as an injected fault. Like
-    /// `time_budget_seconds` this is inherently nondeterministic: fired
-    /// watchdogs flag the run timing-dependent
-    /// (`OptimizeStats::deadline_cancelled` /
+    /// the same containment as an injected fault. Unlike `work_budget`
+    /// this is inherently nondeterministic: fired watchdogs flag the run
+    /// timing-dependent (`OptimizeStats::deadline_cancelled` /
     /// `engine.cancel.deadline_cancelled` in --metrics), and
     /// deadline-cancelled evaluations are never memoized or persisted so
     /// they cannot poison byte-identity of later runs. Deliberately NOT
@@ -87,17 +78,16 @@ struct LookaheadParams {
 
     /// Deterministic per-cone memory quota in bytes (0 = none). Each
     /// retry-ladder rung of a cone evaluation charges its SAT clause/watch
-    /// arenas, private BDD nodes, and decomposition scratch against a fresh
-    /// quota at fixed program points, with allocation-count-derived byte
-    /// costs (common/memgov.hpp) — never malloc-observed sizes — so
-    /// exceeding the quota raises LlsError{ResourceExhausted, "memgov"} at
-    /// identical points whatever the job count, intra-cone setting, or
-    /// cache state. A memgov fault ends the ladder immediately (escalated
-    /// rungs only grow the footprint) and the cone degrades to its
-    /// original structure with a FaultRecord, which memoizes and persists
-    /// like any other deterministic fault. Unlike `cone_deadline_seconds`,
-    /// a nonzero quota IS part of the params fingerprint: it changes what
-    /// evaluations compute.
+    /// arenas and decomposition scratch against a fresh quota at fixed
+    /// program points, with allocation-count-derived byte costs
+    /// (common/memgov.hpp) — never malloc-observed sizes — so exceeding the
+    /// quota raises LlsError{ResourceExhausted, "memgov"} at identical
+    /// points whatever the job count or cache state. A memgov fault ends
+    /// the ladder immediately (escalated rungs only grow the footprint)
+    /// and the cone degrades to its original structure with a FaultRecord,
+    /// which memoizes and persists like any other deterministic fault.
+    /// Unlike `cone_deadline_seconds`, a nonzero quota IS part of the
+    /// params fingerprint: it changes what evaluations compute.
     std::uint64_t cone_mem_bytes = 0;
 
     /// Deterministic fault-injection plan, `kind@site[:count]` specs

@@ -376,6 +376,15 @@ void Solver::reduce_learned() {
 }
 
 Status Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_limit) {
+    // Every answer leaves the solver at decision level 0 (the model is
+    // already copied), so clauses can be added between queries. The search
+    // starts with the same backtrack, so this moves no trajectory.
+    const Status status = search(assumptions, conflict_limit);
+    backtrack(0);
+    return status;
+}
+
+Status Solver::search(const std::vector<Lit>& assumptions, std::int64_t conflict_limit) {
     if (unsat_) return Status::Unsat;
     backtrack(0);
     if (propagate() != -1) {

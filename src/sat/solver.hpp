@@ -58,7 +58,8 @@ public:
     bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
 
     /// Solves under the given assumptions. `conflict_limit` < 0 means no
-    /// limit; when the limit is hit, returns Status::Unknown.
+    /// limit; when the limit is hit, returns Status::Unknown. Every answer
+    /// returns at decision level 0, so `add_clause` may follow any solve.
     Status solve(const std::vector<Lit>& assumptions = {}, std::int64_t conflict_limit = -1);
 
     /// Model value of a variable after a Sat answer.
@@ -117,6 +118,8 @@ private:
     int propagate();  // returns conflicting clause index or -1
     void analyze(int confl, std::vector<Lit>* learned, int* backtrack_level);
     void backtrack(int level);
+    /// The CDCL loop behind `solve`; may return above level 0.
+    Status search(const std::vector<Lit>& assumptions, std::int64_t conflict_limit);
     Lit pick_branch();
     /// Decision order: higher activity first, ties to the lower index.
     bool branches_before(int a, int b) const {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "sim/simulation.hpp"
 
@@ -57,6 +61,108 @@ TEST(Cec, SatPathOnWideCircuits) {
     const CecResult r2 = check_equivalence(rca, broken);
     EXPECT_TRUE(r2.resolved);
     EXPECT_FALSE(r2.equivalent);
+}
+
+/// Random multi-output AIG: each node ANDs two earlier literals with random
+/// polarities, so some nodes end up unobservable or redundant.
+Aig random_aig(Rng& rng, std::size_t num_pis, std::size_t num_ands, std::size_t num_pos) {
+    Aig aig;
+    std::vector<AigLit> lits;
+    for (std::size_t i = 0; i < num_pis; ++i) lits.push_back(aig.add_pi());
+    for (std::size_t i = 0; i < num_ands; ++i) {
+        const AigLit x = lits[rng.next_below(lits.size())];
+        const AigLit y = lits[rng.next_below(lits.size())];
+        lits.push_back(aig.land(rng.next_bool() ? !x : x, rng.next_bool() ? !y : y));
+    }
+    for (std::size_t o = 0; o < num_pos; ++o) {
+        const AigLit l = lits[lits.size() - 1 - rng.next_below(std::min(lits.size(), num_ands + 1))];
+        aig.add_po(rng.next_bool() ? !l : l);
+    }
+    return aig;
+}
+
+/// Copy of `aig` with `extra_pis` unused inputs appended and, when `flip`
+/// names an AND node, the first fanin of that node complemented.
+Aig rebuild(const Aig& aig, std::size_t extra_pis, std::uint32_t flip = 0) {
+    Aig out;
+    std::vector<AigLit> map(aig.num_nodes(), AigLit::constant(false));
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) map[aig.pi(i)] = out.add_pi();
+    for (std::size_t i = 0; i < extra_pis; ++i) out.add_pi();
+    const auto lit_of = [&](AigLit l) { return l.complemented() ? !map[l.node()] : map[l.node()]; };
+    for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
+        if (!aig.is_and(id)) continue;
+        const AigLit f0 = lit_of(aig.node(id).fanin0);
+        map[id] = out.land(id == flip ? !f0 : f0, lit_of(aig.node(id).fanin1));
+    }
+    for (std::size_t o = 0; o < aig.num_pos(); ++o) out.add_po(lit_of(aig.po(o)));
+    return out;
+}
+
+/// Reference verdict: every PO agrees on all 2^n input patterns.
+bool exhaustively_equal(const Aig& a, const Aig& b) {
+    const SimPatterns patterns = SimPatterns::exhaustive(a.num_pis());
+    const auto sigs_a = simulate(a, patterns);
+    const auto sigs_b = simulate(b, patterns);
+    for (std::size_t o = 0; o < a.num_pos(); ++o)
+        if (literal_signature(a, a.po(o), sigs_a, patterns.num_patterns()) !=
+            literal_signature(b, b.po(o), sigs_b, patterns.num_patterns()))
+            return false;
+    return true;
+}
+
+/// Evaluates every PO of `aig` under one input assignment.
+std::vector<bool> evaluate_pos(const Aig& aig, const std::vector<bool>& inputs) {
+    std::vector<bool> value(aig.num_nodes(), false);
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) value[aig.pi(i)] = inputs[i];
+    const auto lit_value = [&](AigLit l) { return value[l.node()] != l.complemented(); };
+    for (std::uint32_t id = 0; id < aig.num_nodes(); ++id)
+        if (aig.is_and(id))
+            value[id] = lit_value(aig.node(id).fanin0) && lit_value(aig.node(id).fanin1);
+    std::vector<bool> pos;
+    for (std::size_t o = 0; o < aig.num_pos(); ++o) pos.push_back(lit_value(aig.po(o)));
+    return pos;
+}
+
+/// check_equivalence(a, b) must resolve to `want`, and a non-equivalent
+/// verdict must carry a counterexample that distinguishes the circuits.
+void expect_verdict(const Aig& a, const Aig& b, bool want, const std::string& where) {
+    const CecResult r = check_equivalence(a, b);
+    ASSERT_TRUE(r.resolved) << where;
+    ASSERT_EQ(r.equivalent, want) << where;
+    if (want) return;
+    ASSERT_EQ(r.counterexample.size(), a.num_pis()) << where;
+    EXPECT_NE(evaluate_pos(a, r.counterexample), evaluate_pos(b, r.counterexample)) << where;
+}
+
+TEST(CecDiff, AgreesWithExhaustiveSimulation) {
+    // Differential test of the checker against exhaustive simulation on
+    // outputs of at most 14 PIs. Each random circuit is compared with itself
+    // and with every copy that has one flipped gate (some flips are
+    // unobservable, so both verdicts occur). Each pair is checked as is,
+    // which takes the checker's exhaustive path, and again with unused PIs
+    // padding the interface past 14, which forces its SAT path.
+    Rng rng(20091);
+    int equivalent = 0, different = 0;
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::size_t num_pis = 1 + rng.next_below(SimPatterns::kMaxExhaustivePis);
+        const std::size_t pad = SimPatterns::kMaxExhaustivePis + 1 - num_pis + rng.next_below(4);
+        const Aig aig = random_aig(rng, num_pis, 4 + rng.next_below(40), 1 + rng.next_below(4));
+        const Aig padded = rebuild(aig, pad);
+        expect_verdict(aig, aig, true, "trial " + std::to_string(trial));
+        expect_verdict(padded, padded, true, "padded trial " + std::to_string(trial));
+        for (std::uint32_t id = 0; id < aig.num_nodes(); ++id) {
+            if (!aig.is_and(id)) continue;
+            const Aig flipped = rebuild(aig, 0, id);
+            const bool want = exhaustively_equal(aig, flipped);
+            const std::string where = "trial " + std::to_string(trial) + " gate " +
+                                      std::to_string(id);
+            expect_verdict(aig, flipped, want, where);
+            expect_verdict(padded, rebuild(aig, pad, id), want, "padded " + where);
+            ++(want ? equivalent : different);
+        }
+    }
+    EXPECT_GT(equivalent, 0);
+    EXPECT_GT(different, 0);
 }
 
 TEST(EncodeAig, MiterSemantics) {

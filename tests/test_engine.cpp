@@ -215,7 +215,6 @@ BudgetedResult run_budgeted(const Aig& input, std::uint64_t work_budget, int job
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
-    EXPECT_FALSE(stats.wall_clock_interrupted);
     EXPECT_TRUE(check_equivalence(input, out, 2000000).equivalent);
     std::stringstream aag;
     write_aiger(aag, out);
@@ -304,7 +303,6 @@ BudgetedResult run_dc_proofs(const Aig& input, int jobs, std::uint64_t work_budg
     OptimizeStats stats;
     const Aig out = optimize_timing_engine(input, params, engine, &stats);
     EXPECT_TRUE(stats.verified);
-    EXPECT_FALSE(stats.wall_clock_interrupted);
     EXPECT_TRUE(check_equivalence(input, out, 2000000).equivalent);
     std::stringstream aag;
     write_aiger(aag, out);
@@ -461,9 +459,9 @@ TEST(Engine, FaultInjectionIsJobsInvariant) {
 }
 
 TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
-    // count=3 poisons all three retry rungs: the cone must be kept in its
-    // original form (degraded, recovered=false) and the overall result must
-    // still verify — containment, not propagation.
+    // count=3 poisons every rung of the two-rung ladder: the cone must be
+    // kept in its original form (degraded, recovered=false) and the overall
+    // result must still verify — containment, not propagation.
     const Aig rca = ripple_carry_adder(6);
     Aig out;
     const OptimizeStats stats = run_faulted(rca, "resource@decompose:3", 2, &out);
@@ -472,45 +470,11 @@ TEST(Engine, ExhaustedRetryLadderDegradesToOriginalCone) {
     ASSERT_FALSE(stats.faults.empty());
     for (const FaultRecord& fault : stats.faults) {
         EXPECT_FALSE(fault.recovered);
-        EXPECT_EQ(fault.retries.size(), 2u);  // two escalations, both poisoned
+        EXPECT_EQ(fault.retries.size(), 1u);  // the one escalation, poisoned too
     }
     // Nothing decomposed successfully; any depth gain came from the
     // conventional restructuring passes, not from lookahead commits.
     EXPECT_EQ(stats.outputs_decomposed, 0);
-}
-
-TEST(Engine, ExactVerifyRungRecoversCones) {
-    // count=2 poisons rungs 0 and 1, so every cone reaching the decompose
-    // site is recovered by rung 2, which verifies with BDDs instead of SAT.
-    const Aig rca = ripple_carry_adder(6);
-    Metrics& metrics = Metrics::global();
-    auto fingerprint = [&](int jobs) {
-        clear_engine_caches();
-        const std::uint64_t bdd_nodes_before = metrics.counter("bdd.unique.nodes").value();
-        Aig out;
-        const OptimizeStats stats = run_faulted(rca, "resource@decompose:2", jobs, &out);
-        EXPECT_TRUE(stats.verified);
-        EXPECT_TRUE(check_equivalence(rca, out, 2000000).equivalent);
-        EXPECT_GT(metrics.counter("bdd.unique.nodes").value(), bdd_nodes_before);
-        EXPECT_FALSE(stats.faults.empty());
-        std::stringstream aag;
-        write_aiger(aag, out);
-        std::string fp = aag.str();
-        for (const FaultRecord& fault : stats.faults) {
-            EXPECT_EQ(fault.kind, ErrorKind::ResourceExhausted);
-            EXPECT_TRUE(fault.recovered) << "cone " << fault.cone;
-            EXPECT_EQ(fault.retries.empty() ? "" : fault.retries.back(), "bdd-exact: ok")
-                << "cone " << fault.cone;
-            fp += "|" + std::string(error_kind_name(fault.kind)) + "@" + fault.stage + "#" +
-                  std::to_string(fault.cone) + ":" + (fault.recovered ? "r" : "d");
-            for (const std::string& retry : fault.retries) fp += "," + retry;
-        }
-        return fp;
-    };
-    const std::string serial = fingerprint(1);
-    EXPECT_EQ(serial, fingerprint(2));
-    EXPECT_EQ(serial, fingerprint(4));
-    clear_engine_caches();  // drop the fault-plan-keyed entries
 }
 
 TEST(Engine, FaultedRunsAreCacheStateInvariant) {
@@ -873,18 +837,16 @@ TEST(Engine, MidBatchShutdownKeepsFinishedItemsByteIdentical) {
 // ---- memory governance (PR 10) -----------------------------------------
 
 TEST(MemoryQuota, ChargesDeterministicallyAndThrowsAtTheLimit) {
-    // Unlimited (limit 0): charges accumulate, nothing ever throws, and
-    // remaining() is the "no bound" sentinel.
+    // Unlimited (limit 0): charges accumulate and nothing ever throws.
     MemoryQuota unlimited;
     unlimited.charge(std::uint64_t{8} << 30);
     EXPECT_EQ(unlimited.charged(), std::uint64_t{8} << 30);
-    EXPECT_EQ(unlimited.remaining(), ~std::uint64_t{0});
 
     MemoryQuota quota(1000);
     quota.charge(600);
-    EXPECT_EQ(quota.remaining(), 400u);
+    EXPECT_EQ(quota.charged(), 600u);
     quota.charge(400);  // exactly at the limit: not over, no throw
-    EXPECT_EQ(quota.remaining(), 0u);
+    EXPECT_EQ(quota.charged(), 1000u);
     try {
         quota.charge(1);
         ADD_FAILURE() << "no throw past the limit";
@@ -895,7 +857,6 @@ TEST(MemoryQuota, ChargesDeterministicallyAndThrowsAtTheLimit) {
     // The charge that tripped the quota is recorded before the throw, so
     // the total stays an exact function of the charge stream.
     EXPECT_EQ(quota.charged(), 1001u);
-    EXPECT_EQ(quota.remaining(), 0u);
 }
 
 TEST(MemoryGovernor, ShedsOncePerEpisodeAndGateSelfClears) {

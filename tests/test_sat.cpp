@@ -95,6 +95,36 @@ TEST(SatSolver, ConflictLimitReturnsUnknown) {
     Solver s;
     add_pigeonhole(s, 7, 6);
     EXPECT_EQ(s.solve({}, 1), Status::Unknown);
+    // An Unknown answer also returns at level 0: the instance can grow.
+    EXPECT_TRUE(s.add_clause(Lit(0, true)));
+}
+
+TEST(SatSolver, ClausesMayFollowASatAnswer) {
+    // A Sat answer leaves its decisions behind only in the model, so a unit
+    // added afterwards constrains the next query.
+    Solver s;
+    const int a = s.new_var();
+    const int b = s.new_var();
+    s.add_clause(Lit(a, false), Lit(b, false));
+    ASSERT_EQ(s.solve(), Status::Sat);
+    EXPECT_TRUE(s.add_clause(Lit(a, true)));
+    ASSERT_EQ(s.solve(), Status::Sat);
+    EXPECT_FALSE(s.model_value(a));
+    EXPECT_TRUE(s.model_value(b));
+}
+
+TEST(SatSolver, ClausesMayFollowAFailedAssumption) {
+    // Unsat under an assumption is not Unsat of the instance: the solver
+    // stays usable and accepts new clauses.
+    Solver s;
+    const int a = s.new_var();
+    const int b = s.new_var();
+    s.add_clause(Lit(a, true), Lit(b, false));  // a -> b
+    ASSERT_EQ(s.solve({Lit(a, false), Lit(b, true)}), Status::Unsat);
+    EXPECT_TRUE(s.add_clause(Lit(b, true)));
+    ASSERT_EQ(s.solve(), Status::Sat);
+    EXPECT_FALSE(s.model_value(a));
+    EXPECT_EQ(s.solve({Lit(a, false)}), Status::Unsat);
 }
 
 TEST(SatSolver, HardPigeonholeExercisesClauseDatabaseReduction) {

@@ -42,11 +42,9 @@
 //   --cone-deadline DUR           per-cone wall-clock watchdog (500ms/30s/5m;
 //                                 default off): a cone evaluation that outlives
 //                                 it is cancelled and kept original with a
-//                                 FaultRecord — nondeterministic, like the
-//                                 wall-clock rail
-//   --time-budget DUR             wall-clock safety rail for the whole run
-//                                 (nondeterministic; use --work-budget for
-//                                 reproducible budgeted runs)
+//                                 FaultRecord — nondeterministic (use
+//                                 --work-budget for reproducible budgeted
+//                                 runs)
 //   --cone-mem SIZE               deterministic per-cone memory quota (64M,
 //                                 1G, plain bytes; default off): a cone whose
 //                                 evaluation would exceed it keeps its
@@ -131,7 +129,7 @@ void print_usage(std::FILE* out, const char* argv0) {
     std::fprintf(out,
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
                  "          [--work-budget N]\n"
-                 "          [--cone-deadline DUR] [--time-budget DUR]\n"
+                 "          [--cone-deadline DUR]\n"
                  "          [--cone-mem SIZE] [--mem-budget SIZE]\n"
                  "          [--fault-inject SPEC]\n"
                  "          [--cache-dir DIR] [--cache-mode read|write|rw|off]\n"
@@ -214,7 +212,7 @@ int main(int argc, char** argv) {
     std::uint64_t work_budget = 0;
     std::uint64_t cone_mem_bytes = 0, mem_budget_bytes = 0;
     bool governor_requested = false;
-    double cone_deadline = 0.0, time_budget = 0.0;
+    double cone_deadline = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
     bool batch = false, resume = false;
 
@@ -234,9 +232,6 @@ int main(int argc, char** argv) {
                 return usage(argv[0]);
         } else if (arg == "--cone-deadline" && i + 1 < argc) {
             if (!lls::parse_duration_option("--cone-deadline", argv[++i], &cone_deadline))
-                return usage(argv[0]);
-        } else if (arg == "--time-budget" && i + 1 < argc) {
-            if (!lls::parse_duration_option("--time-budget", argv[++i], &time_budget))
                 return usage(argv[0]);
         } else if (arg == "--cone-mem" && i + 1 < argc) {
             if (!lls::parse_size_option("--cone-mem", argv[++i], &cone_mem_bytes))
@@ -296,7 +291,6 @@ int main(int argc, char** argv) {
     params.max_iterations = iterations;
     params.work_budget = work_budget;
     params.cone_deadline_seconds = cone_deadline;
-    params.time_budget_seconds = time_budget;
     params.cone_mem_bytes = cone_mem_bytes;
     lls::EngineOptions engine;
     engine.jobs = jobs;
@@ -377,9 +371,8 @@ int main(int argc, char** argv) {
         engine.governor = governor.get();
     }
 
-    // Shared epilogue of both modes: final store flush + metrics dumps.
-    // Returns false (-> exit 1) only when --metrics-json cannot be written.
-    auto epilogue = [&]() -> bool {
+    // Final store flush and governor report, shared by both modes.
+    auto flush_store = [&]() {
         if (warm) warm->finalize();
         if (governor)
             std::printf("memgov: %llu bytes charged, %llu shed event(s), %llu admission "
@@ -387,6 +380,10 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(governor->charged_total()),
                         static_cast<unsigned long long>(governor->shed_events()),
                         static_cast<unsigned long long>(governor->admission_holds()));
+    };
+    // Metrics dumps. Returns false (-> exit 1) only when --metrics-json
+    // cannot be written.
+    auto dump_metrics = [&]() -> bool {
         if (print_metrics) lls::Metrics::global().report(stdout);
         if (!metrics_json_path.empty()) {
             std::ofstream out(metrics_json_path);
@@ -399,6 +396,10 @@ int main(int argc, char** argv) {
             std::printf("wrote %s\n", metrics_json_path.c_str());
         }
         return true;
+    };
+    auto epilogue = [&]() -> bool {
+        flush_store();
+        return dump_metrics();
     };
 
     // ---- batch mode: many circuits, one pool -------------------------------
@@ -604,10 +605,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stats.work_units),
                     static_cast<unsigned long long>(work_budget),
                     stats.budget_exhausted ? " (exhausted)" : "");
-    if (stats.wall_clock_interrupted)
-        std::fprintf(stderr,
-                     "warning: wall-clock budget fired; this result is timing-dependent "
-                     "(use --work-budget for deterministic budgeted runs)\n");
     if (stats.deadline_cancelled > 0)
         std::fprintf(stderr,
                      "warning: %d cone(s) hit --cone-deadline and kept their original "
@@ -631,33 +628,36 @@ int main(int argc, char** argv) {
                      g_signal.load());
         return lls::kExitSignalShutdown;
     }
-    if (!epilogue()) return 1;
+    flush_store();
 
     if (verify) {
         const lls::CecResult cec = lls::check_equivalence(circuit, optimized, 4000000);
-        if (!cec.resolved) {
-            std::fprintf(stderr, "equivalence check UNRESOLVED (conflict limit)\n");
-            return lls::kExitNotEquivalent;
-        }
-        if (!cec.equivalent) {
-            std::fprintf(stderr, "equivalence check FAILED\n");
+        if (!cec.resolved || !cec.equivalent) {
+            dump_metrics();
+            std::fprintf(stderr, cec.resolved ? "equivalence check FAILED\n"
+                                              : "equivalence check UNRESOLVED (conflict limit)\n");
             return lls::kExitNotEquivalent;
         }
         std::printf("equivalence check: PASS\n");
     }
 
-    // --map and --verilog report on one mapped netlist.
+    // --map and --verilog report on one mapped netlist, timed under
+    // mapping.map like map_circuit(const Aig&), which this path bypasses.
     const lls::CellLibrary lib = lls::CellLibrary::generic_70nm();
     std::optional<lls::Netlist> netlist;
-    if (map_report || !verilog_path.empty()) netlist.emplace(lls::map_to_netlist(optimized, lib));
-
-    if (map_report) {
-        const lls::MappedCircuit mapped = lls::map_circuit(*netlist);
+    std::optional<lls::MappedCircuit> mapped;
+    if (map_report || !verilog_path.empty()) {
+        const lls::ScopedTimer map_scope(lls::Metrics::global().timer("mapping.map"));
+        netlist.emplace(lls::map_to_netlist(optimized, lib));
+        if (map_report) mapped = lls::map_circuit(*netlist);
+    }
+    if (mapped) {
         std::printf("mapped: %zu gates, delay %.0f ps, area %.1f, power %.3f mW @1GHz\n",
-                    mapped.num_gates, mapped.delay_ps, mapped.area, mapped.power_mw);
-        for (const auto& [cell, count] : mapped.cell_histogram)
+                    mapped->num_gates, mapped->delay_ps, mapped->area, mapped->power_mw);
+        for (const auto& [cell, count] : mapped->cell_histogram)
             std::printf("  %-8s %d\n", cell.c_str(), count);
     }
+    if (!dump_metrics()) return 1;
 
     if (!output_path.empty()) {
         try {

@@ -2,9 +2,10 @@
 # run_checks.sh: tier-1 tests in the default configuration, a golden
 # output check (default lookahead runs and the sis/abc/dc baseline flows on
 # the regression circuits must reproduce the sha256 recorded in
-# tests/data/golden.sha256), a budgeted
-# determinism check of the CLI (same circuit + work budget at several
-# --jobs values must produce byte-identical outputs), a batch
+# tests/data/golden.sha256), a check that `lls_opt --map --metrics`
+# reports the mapping timer, a budgeted determinism check of the CLI
+# (same circuit + work budget at several --jobs values must produce
+# byte-identical outputs), a batch
 # jobs-invariance check (outputs byte-identical across --jobs 1/2/4), a
 # don't-care-proof invariance check (outputs byte-identical across
 # --jobs 1/2/4, budgeted and warm-cache variants included), a per-cone
@@ -60,6 +61,13 @@ for j in 1 4; do
     (cd "$WORKDIR/golden.j$j" && sha256sum --check --quiet "$REPO/tests/data/golden.sha256")
     echo "outputs at --jobs $j match tests/data/golden.sha256"
 done
+
+echo "== stage 1c: the metrics report covers mapping =="
+# --metrics is printed after --map runs, so the mapping timer appears.
+./build/tools/lls_opt --map --metrics tests/data/rca16.blif > "$WORKDIR/map_metrics.txt"
+grep -q "mapping.map" "$WORKDIR/map_metrics.txt" || {
+    echo "mapping.map missing from lls_opt --map --metrics"; exit 1; }
+echo "lls_opt --map --metrics reports mapping.map"
 
 echo "== stage 2: budgeted determinism across job counts =="
 # The core claim of the deterministic work budget: exhausting it must cut
@@ -291,7 +299,14 @@ rc=0
     --out-dir "$WORKDIR/sig-resumed" --checkpoint "$WORKDIR/sig-ckpt.txt" \
     "${SIG_INPUTS[@]}" > "$WORKDIR/sig.log" 2>&1 &
 SIG_PID=$!
-sleep 0.3
+# Signal once the journal holds its first finished item, so the kill lands
+# mid-batch: the whole batch can finish in about 0.3 s, so a fixed sleep
+# would race it.
+for _ in $(seq 3000); do
+    [[ "$(wc -l < "$WORKDIR/sig-ckpt.txt" 2>/dev/null || echo 0)" -ge 2 ]] && break
+    kill -0 "$SIG_PID" 2>/dev/null || break
+    sleep 0.01
+done
 kill -TERM "$SIG_PID" 2>/dev/null || true
 wait "$SIG_PID" || rc=$?
 [[ "$rc" == 30 ]] || { echo "expected signal-shutdown exit 30, got $rc"; cat "$WORKDIR/sig.log"; exit 1; }
