@@ -45,14 +45,14 @@ struct RunContext {
     /// Per-cone wall-clock watchdog (unarmed-or-null = never expires).
     const Deadline* deadline = nullptr;
 
-    /// Tier-1 deterministic byte quota of this evaluation rung, or null
+    /// Deterministic byte quota of this evaluation rung, or null
     /// for unmetered memory (common/memgov.hpp). Like `cost`, the quota is
     /// not thread-safe: it is charged only from the evaluating thread.
     MemoryQuota* mem_quota = nullptr;
 
-    /// Tier-2 process-wide accountant (the `--mem-budget` rail), or null.
-    /// Components with real arenas (SAT solvers) push counted byte deltas
-    /// here; purely observability + relief, never a result-changing input.
+    /// Process-wide byte accountant, or null. Components with real arenas
+    /// (SAT solvers) push counted byte deltas here; purely observability,
+    /// never a result-changing input.
     MemoryGovernor* governor = nullptr;
 
     /// Metrics registry, or null to fall back to the process-global one.
@@ -68,7 +68,7 @@ struct RunContext {
         if (cost != nullptr) *cost += delta;
     }
 
-    /// Charges `bytes` against the Tier-1 quota, if one is attached;
+    /// Charges `bytes` against the per-cone quota, if one is attached;
     /// throws LlsError{ResourceExhausted, kMemgovStage} past the limit.
     /// Callers must only invoke this at deterministic program points.
     void charge_memory(std::uint64_t bytes) const {

@@ -23,7 +23,6 @@ struct CacheStatsSnapshot {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;  ///< estimated resident bytes (sizer-derived)
 };
 
 namespace detail {
@@ -60,25 +59,8 @@ class ShardedCache {
 public:
     static constexpr std::size_t kShards = 16;
 
-    /// Byte estimate of one entry. Must be a pure function of (key, value):
-    /// the per-shard byte ledger subtracts the same estimate on eviction
-    /// that insertion added, so a sizer that reads mutable global state
-    /// would corrupt the accounting.
-    using Sizer = std::function<std::size_t(const Key&, const Value&)>;
-
-    /// Flat fallback estimate when no sizer is supplied: the inline footprint
-    /// plus an unordered_map node/bucket overhead share.
-    static constexpr std::size_t kEntryOverheadBytes = 48;
-
-    explicit ShardedCache(std::string name, std::size_t max_entries_per_shard = 4096,
-                          Sizer sizer = {})
-        : name_(std::move(name)),
-          max_entries_per_shard_(max_entries_per_shard),
-          sizer_(std::move(sizer)) {
-        if (!sizer_)
-            sizer_ = [](const Key&, const Value&) {
-                return sizeof(Key) + sizeof(Value) + kEntryOverheadBytes;
-            };
+    explicit ShardedCache(std::string name, std::size_t max_entries_per_shard = 4096)
+        : name_(std::move(name)), max_entries_per_shard_(max_entries_per_shard) {
         detail::register_cache([this] { return stats(); });
     }
 
@@ -98,28 +80,17 @@ public:
     }
 
     /// Inserts (or overwrites) an entry, evicting half the shard first if
-    /// it is full — by entry count, or by its slice of the byte limit when
-    /// one is armed.
+    /// it is full.
     void put(const Key& key, Value value) {
-        // The ledger always charges the *stored* entry (capacities can
-        // differ between a caller's copy and the map's), so insert/erase
-        // balance exactly.
-        const std::size_t incoming = sizer_(key, value);
         Shard& shard = shard_of(key);
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.map.find(key);
         if (it != shard.map.end()) {
-            shard.bytes -= sizer_(it->first, it->second);
             it->second = std::move(value);
-            shard.bytes += sizer_(it->first, it->second);
             return;
         }
-        const std::size_t byte_limit = byte_limit_.load(std::memory_order_relaxed);
-        if (shard.map.size() >= max_entries_per_shard_ ||
-            (byte_limit != 0 && shard.bytes + incoming > byte_limit / kShards))
-            evict_half_locked(shard);
-        const auto inserted = shard.map.emplace(key, std::move(value)).first;
-        shard.bytes += sizer_(inserted->first, inserted->second);
+        if (shard.map.size() >= max_entries_per_shard_) evict_half_locked(shard);
+        shard.map.emplace(key, std::move(value));
     }
 
     /// Returns the cached value for `key`, computing and inserting it with
@@ -145,39 +116,7 @@ public:
         for (auto& shard : shards_) {
             std::lock_guard<std::mutex> lock(shard.mutex);
             shard.map.clear();
-            shard.bytes = 0;
         }
-    }
-
-    /// Estimated resident bytes across all shards (the governor's gauge).
-    std::uint64_t bytes() const {
-        std::uint64_t total = 0;
-        for (auto& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            total += shard.bytes;
-        }
-        return total;
-    }
-
-    /// Arms (or clears, with 0) a total byte cap: an insert whose shard
-    /// would exceed its 1/kShards slice halves that shard first. Lossy by
-    /// design — entries are pure memos, so shedding costs recomputation,
-    /// never correctness.
-    void set_byte_limit(std::size_t limit) {
-        byte_limit_.store(limit, std::memory_order_relaxed);
-    }
-
-    /// Drops half of every shard (the governor's shed hook), returning the
-    /// estimated bytes freed.
-    std::size_t shed_half() {
-        std::size_t freed = 0;
-        for (auto& shard : shards_) {
-            std::lock_guard<std::mutex> lock(shard.mutex);
-            const std::size_t before = shard.bytes;
-            evict_half_locked(shard);
-            freed += before - shard.bytes;
-        }
-        return freed;
     }
 
     /// Visits every entry, shard by shard, under the stripe locks — the
@@ -202,7 +141,6 @@ public:
         for (auto& shard : shards_) {
             std::lock_guard<std::mutex> lock(shard.mutex);
             s.entries += shard.map.size();
-            s.bytes += shard.bytes;
         }
         return s;
     }
@@ -211,7 +149,6 @@ private:
     struct Shard {
         mutable std::mutex mutex;
         std::unordered_map<Key, Value, Hash> map;
-        std::size_t bytes = 0;  ///< sizer-estimated bytes of live entries
     };
 
     Shard& shard_of(const Key& key) { return shards_[Hash{}(key) % kShards]; }
@@ -219,18 +156,14 @@ private:
     void evict_half_locked(Shard& shard) {
         const std::size_t target = shard.map.size() / 2;
         while (shard.map.size() > target) {
-            const auto victim = shard.map.begin();
-            shard.bytes -= sizer_(victim->first, victim->second);
-            shard.map.erase(victim);
+            shard.map.erase(shard.map.begin());
             evictions_.fetch_add(1, std::memory_order_relaxed);
         }
     }
 
     std::string name_;
     std::size_t max_entries_per_shard_;
-    Sizer sizer_;
     mutable std::array<Shard, kShards> shards_;
-    std::atomic<std::size_t> byte_limit_{0};
     std::atomic<std::uint64_t> hits_{0}, misses_{0}, evictions_{0};
 };
 

@@ -61,44 +61,22 @@ std::uint64_t params_fingerprint(const LookaheadParams& p) {
     if (!p.fault_plan.empty()) h = hash_mix(h, FaultPlan::parse(p.fault_plan).fingerprint());
     // The per-cone memory quota is deterministic and result-changing (a
     // quota-degraded cone keeps its original structure), so it keys the
-    // memo; zero adds nothing, like the empty fault plan. The wall rails
-    // (cone deadline, --mem-budget) stay excluded.
+    // memo; zero adds nothing, like the empty fault plan. The cone
+    // deadline, a wall rail, stays excluded.
     if (p.cone_mem_bytes != 0) h = hash_mix(h, p.cone_mem_bytes);
     return h;
 }
 
-/// Raises the engine.mem.* counters to the governor's cumulative totals.
+/// Raises engine.mem.charged_bytes to the governor's cumulative total.
 /// Idempotent ("sync up to total"), serialized so concurrent batch items
 /// cannot double-add one delta — safe however many runs share a governor.
 void sync_governor_metrics(Metrics& metrics, const MemoryGovernor& governor) {
     static std::mutex mutex;
     const std::lock_guard<std::mutex> lock(mutex);
-    const auto sync = [&metrics](const char* name, std::uint64_t total) {
-        MetricCounter& counter = metrics.counter(name);
-        const std::uint64_t seen = counter.value();
-        if (total > seen) counter.add(total - seen);
-    };
-    sync("engine.mem.charged_bytes", governor.charged_total());
-    sync("engine.mem.shed_events", governor.shed_events());
-    sync("engine.mem.admission_holds", governor.admission_holds());
+    MetricCounter& counter = metrics.counter("engine.mem.charged_bytes");
+    const std::uint64_t total = governor.charged_total(), seen = counter.value();
+    if (total > seen) counter.add(total - seen);
 }
-
-/// RAII ticket on the governor's batch admission gate; a null governor
-/// degrades to a no-op so the batch loop stays unconditional.
-class AdmissionGuard {
-public:
-    explicit AdmissionGuard(MemoryGovernor* governor) : governor_(governor) {
-        if (governor_ != nullptr) governor_->admission_acquire();
-    }
-    ~AdmissionGuard() {
-        if (governor_ != nullptr) governor_->admission_release();
-    }
-    AdmissionGuard(const AdmissionGuard&) = delete;
-    AdmissionGuard& operator=(const AdmissionGuard&) = delete;
-
-private:
-    MemoryGovernor* governor_;
-};
 
 /// Equivalence check with the structural-hash verdict memo in front. Only
 /// resolved verdicts are stored; a memo hit returns no counterexample
@@ -131,32 +109,11 @@ CecResult check_equivalence_memo(const Aig& a, const Aig& b, std::int64_t confli
 }  // namespace
 
 DecomposeMemo& decompose_memo() {
-    static DecomposeMemo instance(
-        "decompose_memo", /*max_entries_per_shard=*/2048,
-        [](const std::pair<std::uint64_t, std::uint64_t>&, const ConeEvaluation& e) {
-            std::size_t bytes = sizeof(ConeEvaluation) + DecomposeMemo::kEntryOverheadBytes;
-            if (e.outcome)
-                bytes += sizeof(DecomposeOutcome) +
-                         e.outcome->aig.num_nodes() * memcost::kAigNodeBytes +
-                         e.outcome->reconstruction.capacity();
-            for (const auto& f : e.faults)
-                bytes += sizeof(FaultRecord) + f.stage.capacity() + f.detail.capacity() +
-                         f.cone_name.capacity();
-            return bytes;
-        });
+    static DecomposeMemo instance("decompose_memo", /*max_entries_per_shard=*/2048);
     return instance;
 }
 
-void register_memo_governance(MemoryGovernor& governor) {
-    governor.add_gauge([] { return decompose_memo().bytes(); });
-    governor.add_gauge([] { return cec_memo().bytes(); });
-    governor.add_gauge([] { return npn_memo().bytes(); });
-    governor.add_gauge([] { return exact_structure_memo().bytes(); });
-    governor.add_shed_hook([] { return decompose_memo().shed_half(); });
-    governor.add_shed_hook([] { return cec_memo().shed_half(); });
-    governor.add_shed_hook([] { return npn_memo().shed_half(); });
-    governor.add_shed_hook([] { return exact_structure_memo().shed_half(); });
-}
+void register_memo_governance(MemoryGovernor&) {}
 
 namespace {
 
@@ -250,9 +207,9 @@ struct RunState {
     }
 
     /// Context of the serial stages (SAT sweeping, CEC): observability cost
-    /// sink plus the shutdown token, never a deadline or a Tier-1 quota —
+    /// sink plus the shutdown token, never a deadline or a per-cone quota —
     /// serial-stage work is uncharged and single-threaded by design. Their
-    /// solvers still report arena bytes to the Tier-2 governor.
+    /// solvers still report arena bytes to the byte accountant, if any.
     RunContext serial_context(WorkCost& cost) const {
         RunContext ctx;
         ctx.cost = &cost;
@@ -348,7 +305,7 @@ ConeEvaluation run_retry_ladder(const RunState& run, const Aig& cone, std::uint6
             rung_params.sat_conflict_limit =
                 std::max<std::int64_t>(params.sat_conflict_limit, 1) * 16;
         const FaultContext fault_context(&run.fault_plan, rung);
-        // Tier-1 quota, fresh per rung, so the point an exhaustion fires is
+        // Per-cone quota, fresh per rung, so the point an exhaustion fires is
         // a pure function of (cone, params, rung).
         MemoryQuota quota(params.cone_mem_bytes);
         // The one plumbing path down the decompose -> reduce -> simplify ->
@@ -390,7 +347,7 @@ ConeEvaluation run_retry_ladder(const RunState& run, const Aig& cone, std::uint6
                 evaluation.timing_dependent = true;
                 break;
             }
-            // Tier-1 quota exhaustion also ends the ladder: the escalated
+            // A quota exhaustion also ends the ladder: the escalated
             // rung only grows the footprint, so it would deterministically
             // re-fail. The evaluation memoizes and is never "recovered".
             const auto* lls_error = dynamic_cast<const LlsError*>(&e);
@@ -737,14 +694,6 @@ std::vector<BatchOutcome> optimize_timing_batch(
             }
             return;
         }
-        // Tier-2 admission control: while the governor's post-shedding
-        // high-water hold is up and other items are in flight, this item
-        // waits here instead of adding its footprint — the batch finishes
-        // what it started and serializes new dispatch until usage falls
-        // below the rail (or everything in flight has drained, which
-        // guarantees progress). Purely a *when*, never a *what*: the item
-        // computes the same bytes however long it waited.
-        const AdmissionGuard admission(engine.governor);
         // Item-level fault boundary: one failing circuit must not abort the
         // other 99. The failed item degrades to its unmodified input — the
         // same keep-original rule the per-cone boundary applies — and is

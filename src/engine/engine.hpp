@@ -48,16 +48,12 @@ struct EngineOptions {
     /// run.
     const CancelToken* cancel = nullptr;
 
-    /// Tier-2 global memory accountant (common/memgov.hpp), or nullptr for
-    /// none. The engine keeps it bound through every solver the run creates
-    /// (via RunContext) and in batch mode gates item dispatch on its
-    /// admission hold. Like `params.cone_deadline_seconds` this is a wall
-    /// rail: crossing the budget changes *when* caches shed and items
-    /// dispatch, never what any committed result contains — shedding only
-    /// evicts pure memos and admission only delays starts — so outputs
-    /// stay byte-identical; only the `engine.mem.{shed_events,
-    /// admission_holds}` event counts are schedule-dependent. Not owned;
-    /// must outlive the run.
+    /// Process-wide byte accountant (common/memgov.hpp), or nullptr for
+    /// none. The engine binds it to every solver the run creates (via
+    /// RunContext), which report their arena bytes to it; the run then
+    /// raises `engine.mem.charged_bytes` to its total. Observability only:
+    /// it never changes what a run computes. Not owned; must outlive the
+    /// run.
     MemoryGovernor* governor = nullptr;
 };
 
@@ -133,13 +129,8 @@ CacheStatsSnapshot decomposition_cache_stats();
 /// reset.
 void clear_engine_caches();
 
-/// Wires the engine's process-wide memo caches into a Tier-2 governor:
-/// registers each cache's `bytes()` as a gauge and its `shed_half()` as a
-/// shed hook, so a relief episode halves the decomposition, CEC, NPN, and
-/// exact-structure memos before the governor re-checks the budget. Call
-/// once per governor, before the run starts (registrations cannot be
-/// undone, so the governor must not outlive the process-wide caches —
-/// which live forever).
+/// Does nothing. Kept because the repo benchmark (perfbench) still calls
+/// it; the memo caches are bounded by entry count alone.
 void register_memo_governance(MemoryGovernor& governor);
 
 }  // namespace lls

@@ -36,25 +36,14 @@ std::optional<ExactStructure> structure_cached(const TruthTable& canonical, int 
 /// invocations cheap. Sharded + mutex-striped so the engine's workers and
 /// batch-mode circuits can rewrite concurrently.
 ShardedCache<std::string, NpnResult>& npn_memo() {
-    static ShardedCache<std::string, NpnResult> instance(
-        "npn_canon", /*max_entries_per_shard=*/4096,
-        [](const std::string& key, const NpnResult& npn) {
-            return sizeof(NpnResult) + key.capacity() + npn.perm.capacity() * sizeof(int) +
-                   ShardedCache<std::string, NpnResult>::kEntryOverheadBytes;
-        });
+    static ShardedCache<std::string, NpnResult> instance("npn_canon",
+                                                         /*max_entries_per_shard=*/4096);
     return instance;
 }
 
 ShardedCache<std::string, std::optional<ExactStructure>>& exact_structure_memo() {
     static ShardedCache<std::string, std::optional<ExactStructure>> instance(
-        "exact_structures", /*max_entries_per_shard=*/4096,
-        [](const std::string& key, const std::optional<ExactStructure>& s) {
-            std::size_t bytes = sizeof(std::optional<ExactStructure>) + key.capacity() +
-                                ShardedCache<std::string,
-                                             std::optional<ExactStructure>>::kEntryOverheadBytes;
-            if (s) bytes += s->gates.capacity() * sizeof(ExactStructure::Gate);
-            return bytes;
-        });
+        "exact_structures", /*max_entries_per_shard=*/4096);
     return instance;
 }
 

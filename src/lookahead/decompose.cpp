@@ -72,7 +72,7 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
         exhaustive ? SimPatterns::exhaustive(cone.num_pis())
                    : SimPatterns::random(cone.num_pis(), params.num_random_patterns, rng);
     const auto aig_sigs = simulate(cone, patterns);
-    // Tier-1 charge site: simulation signatures, priced by their counted
+    // Per-cone quota charge site: simulation signatures, priced by their counted
     // word footprint — a pure function of (cone, params), like every charge
     // below, so the quota trips at the same point on every schedule.
     ctx.charge_memory(aig_sigs.size() *

@@ -11,15 +11,10 @@
 namespace lls::sat {
 
 namespace {
-/// Tier-2 accounting granularity: the governor's atomic is touched only
-/// when the live byte estimate drifts this far from what was reported.
+/// Accounting granularity: the governor's atomic is touched only when
+/// the live byte estimate drifts this far from what was reported.
 constexpr std::int64_t kGovernorChunkBytes = 256 << 10;
 }  // namespace
-
-Solver::~Solver() {
-    if (governor_charged_ != 0 && run_context_ != nullptr && run_context_->governor != nullptr)
-        run_context_->governor->charge(-governor_charged_);
-}
 
 void Solver::sync_governor_accounting() {
     if (run_context_ == nullptr || run_context_->governor == nullptr) return;
@@ -38,7 +33,7 @@ void Solver::charge_literals(std::size_t count) {
                        "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
                            " literals)",
                        "sat");
-    // Tier-1 deterministic quota: clause/watch arena bytes, charged from
+    // Deterministic per-cone quota: clause/watch arena bytes, charged from
     // the literal count — the same allocation-count accounting the literal
     // limit itself uses. May throw LlsError{ResourceExhausted, "memgov"};
     // nothing was stored yet, so the solver stays usable.

@@ -37,9 +37,6 @@ enum class Status { Sat, Unsat, Unknown };
 class Solver {
 public:
     Solver() = default;
-    /// Releases this solver's counted bytes from the bound context's
-    /// Tier-2 memory governor, if any.
-    ~Solver();
 
     Solver(const Solver&) = delete;
     Solver& operator=(const Solver&) = delete;
@@ -169,7 +166,7 @@ private:
 
     const lls::RunContext* run_context_ = nullptr;
     unsigned context_poll_countdown_ = 0;  // amortizes the context's clock read
-    std::int64_t governor_charged_ = 0;    // bytes reported to the Tier-2 governor
+    std::int64_t governor_charged_ = 0;    // bytes reported to the byte accountant
 };
 
 }  // namespace lls::sat

@@ -174,79 +174,6 @@ TEST(ShardedCache, ConcurrentGetOrComputeOnOneKeyStaysConsistent) {
     EXPECT_EQ(*cache.get(5), 55);
 }
 
-TEST(ShardedCache, BytesLedgerTracksInsertOverwriteEvictClear) {
-    // Default flat sizer: every <int,int> entry costs the same.
-    constexpr std::size_t kEntry = sizeof(int) + sizeof(int) + OneShardCache::kEntryOverheadBytes;
-    OneShardCache cache("test.bytes", 8);
-    EXPECT_EQ(cache.bytes(), 0u);
-    for (int k = 0; k < 4; ++k) cache.put(k, k);
-    EXPECT_EQ(cache.bytes(), 4 * kEntry);
-    EXPECT_EQ(cache.stats().bytes, 4 * kEntry);
-    cache.put(2, 22);  // overwrite: same size, ledger unchanged
-    EXPECT_EQ(cache.bytes(), 4 * kEntry);
-    for (int k = 4; k < 9; ++k) cache.put(k, k);  // trips the entry cap at the 9th
-    EXPECT_EQ(cache.bytes(), cache.stats().entries * kEntry);
-    cache.clear();
-    EXPECT_EQ(cache.bytes(), 0u);
-}
-
-TEST(ShardedCache, CustomSizerChargesTheStoredEntry) {
-    // The sizer sees the *stored* copy, so a capacity-dependent sizer stays
-    // ledger-consistent: what insert adds, erase subtracts.
-    using StringCache = ShardedCache<int, std::string, ZeroHash>;
-    StringCache cache("test.sizer", 8, [](const int&, const std::string& v) {
-        return sizeof(int) + v.capacity() + StringCache::kEntryOverheadBytes;
-    });
-    cache.put(1, std::string(100, 'x'));
-    cache.put(2, std::string(5, 'y'));
-    std::size_t expected = 0;
-    cache.for_each([&](const int&, const std::string& v) {
-        expected += sizeof(int) + v.capacity() + StringCache::kEntryOverheadBytes;
-    });
-    EXPECT_EQ(cache.bytes(), expected);
-    // Overwrite with a differently-sized value re-prices the entry.
-    cache.put(1, std::string(3, 'z'));
-    expected = 0;
-    cache.for_each([&](const int&, const std::string& v) {
-        expected += sizeof(int) + v.capacity() + StringCache::kEntryOverheadBytes;
-    });
-    EXPECT_EQ(cache.bytes(), expected);
-}
-
-TEST(ShardedCache, ByteLimitEvictsBeforeTheEntryCap) {
-    constexpr std::size_t kEntry = sizeof(int) + sizeof(int) + OneShardCache::kEntryOverheadBytes;
-    // Generous entry cap; the byte limit is what binds. All keys land in
-    // shard 0 (ZeroHash), whose slice is limit / kShards = 4 entries.
-    OneShardCache cache("test.bytelimit", 4096);
-    cache.set_byte_limit(4 * kEntry * OneShardCache::kShards);
-    for (int k = 0; k < 4; ++k) cache.put(k, k);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-    cache.put(4, 4);  // 5th entry would exceed the slice: evict half first
-    const CacheStatsSnapshot s = cache.stats();
-    EXPECT_GT(s.evictions, 0u);
-    EXPECT_EQ(s.entries, 4u / 2 + 1);
-    EXPECT_LE(cache.bytes(), 4 * kEntry);
-    // The newly inserted key survives its own eviction.
-    EXPECT_TRUE(cache.get(4).has_value());
-}
-
-TEST(ShardedCache, ShedHalfFreesBytesAndReportsThem) {
-    constexpr std::size_t kEntry = sizeof(int) + sizeof(int) + OneShardCache::kEntryOverheadBytes;
-    OneShardCache cache("test.shed", 64);
-    for (int k = 0; k < 8; ++k) cache.put(k, k);
-    const std::size_t before = cache.bytes();
-    EXPECT_EQ(before, 8 * kEntry);
-    const std::size_t freed = cache.shed_half();
-    EXPECT_EQ(freed, before - cache.bytes());
-    EXPECT_EQ(cache.stats().entries, 4u);
-    EXPECT_EQ(cache.bytes(), 4 * kEntry);
-    EXPECT_GT(cache.stats().evictions, 0u);
-    // Shedding an empty cache is a no-op, not an underflow.
-    cache.clear();
-    EXPECT_EQ(cache.shed_half(), 0u);
-    EXPECT_EQ(cache.bytes(), 0u);
-}
-
 TEST(ShardedCache, RegisteredInGlobalStats) {
     ShardedCache<std::string, int> cache("test.registry.unique", 16);
     cache.put("a", 1);

@@ -3,7 +3,7 @@
 //   lls_fuzz [iterations] [base_seed] [--fault-inject SPEC]
 //   lls_fuzz --mutate-store [iterations] [base_seed]
 //   lls_fuzz --deadline [iterations] [base_seed]
-//   lls_fuzz --mem-budget [iterations] [base_seed]
+//   lls_fuzz --cone-mem [iterations] [base_seed]
 //
 // Each iteration generates a random circuit (random shape, PI/PO counts and
 // operator mix), pushes it through every optimization flow plus mapping and
@@ -26,9 +26,9 @@
 // (cancelled cones degrade to original with a Cancelled FaultRecord), and
 // it round-trips through the writers as a well-formed AIG.
 //
-// --mem-budget exercises the memory governor (common/memgov.hpp): each
+// --cone-mem exercises the per-cone memory quota (common/memgov.hpp): each
 // iteration runs the lookahead flow under a tight random per-cone byte
-// quota plus a small random global budget, at a random job count. Whatever
+// quota, at a random job count. Whatever
 // the quota trips must be contained deterministically: the run completes,
 // the result is equivalent to the input, a quota-degraded cone is *never*
 // reported as recovered (the memgov fault ends the retry ladder), the
@@ -266,10 +266,9 @@ bool run_deadline_iteration(std::uint64_t seed) {
     }
 }
 
-/// One memory-governor iteration: the lookahead flow under a tight random
-/// per-cone quota (a few KB to a few MB, so cones regularly trip it at
-/// some charge site) and a small random global budget, at a random job
-/// count. Containment must be deterministic: the run completes, stays
+/// One memory-quota iteration: the lookahead flow under a tight random
+/// per-cone quota (a few KB to a few hundred KB, so cones regularly trip
+/// it at some charge site), at a random job count. Containment must be deterministic: the run completes, stays
 /// equivalent (degrade-to-original), never reports a memgov fault as
 /// recovered, produces byte-identical output across job counts, and the
 /// result round-trips.
@@ -288,17 +287,10 @@ bool run_memgov_iteration(std::uint64_t seed) {
         // enough that some complete (both the degrade path and the success
         // path run under accounting).
         params.cone_mem_bytes = (std::uint64_t{1} << 10) + rng.next_below(std::uint64_t{1} << 17);
-        // A small global rail (1..32 MB) so cache shedding fires under
-        // fuzz workloads too; 0 every fourth run keeps the accounting-only
-        // configuration covered.
-        const std::uint64_t budget =
-            rng.next_below(4) == 0 ? 0 : (std::uint64_t{1} << 20) * (1 + rng.next_below(32));
 
         auto run = [&](int jobs, lls::OptimizeStats* stats) {
-            lls::MemoryGovernor governor(budget);
             lls::EngineOptions engine;
             engine.jobs = jobs;
-            engine.governor = &governor;
             const lls::Aig optimized =
                 lls::optimize_timing_engine(circuit, params, engine, stats);
             std::stringstream aag;
@@ -350,12 +342,10 @@ bool run_memgov_iteration(std::uint64_t seed) {
         lls::write_blif(blif, optimized, "fuzz");
         if (!check(verify("memgov blif roundtrip", seed, optimized, lls::read_blif(blif))))
             return false;
-        std::printf("seed %llu ok (quota %llu B, budget %llu B, %d cone(s) degraded, "
-                    "depth %d -> %d)\n",
+        std::printf("seed %llu ok (quota %llu B, %d cone(s) degraded, depth %d -> %d)\n",
                     static_cast<unsigned long long>(seed),
                     static_cast<unsigned long long>(params.cone_mem_bytes),
-                    static_cast<unsigned long long>(budget), stats.quota_degraded,
-                    circuit.depth(), optimized.depth());
+                    stats.quota_degraded, circuit.depth(), optimized.depth());
         return true;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "FUZZ FAILURE: memgov exception at seed %llu: %s\n",
@@ -483,7 +473,7 @@ int main(int argc, char** argv) {
                      "usage: %s [iterations] [base_seed] [--fault-inject SPEC]\n"
                      "       %s --mutate-store [iterations] [base_seed]\n"
                      "       %s --deadline [iterations] [base_seed]\n"
-                     "       %s --mem-budget [iterations] [base_seed]\n",
+                     "       %s --cone-mem [iterations] [base_seed]\n",
                      argv[0], argv[0], argv[0], argv[0]);
         return 2;
     };
@@ -501,7 +491,7 @@ int main(int argc, char** argv) {
             mutate_store = true;
         } else if (arg == "--deadline") {
             deadline_mode = true;
-        } else if (arg == "--mem-budget") {
+        } else if (arg == "--cone-mem") {
             memgov_mode = true;
         } else if (positional == 0) {
             if (!lls::parse_int_option("iterations", arg.c_str(), 1, 1000000000, &iterations))
@@ -528,14 +518,14 @@ int main(int argc, char** argv) {
 
     if ((mutate_store || deadline_mode || memgov_mode) && !g_fault_spec.empty()) {
         std::fprintf(stderr,
-                     "error: --mutate-store/--deadline/--mem-budget and --fault-inject are "
+                     "error: --mutate-store/--deadline/--cone-mem and --fault-inject are "
                      "mutually exclusive\n");
         return 2;
     }
     if (static_cast<int>(mutate_store) + static_cast<int>(deadline_mode) +
             static_cast<int>(memgov_mode) >
         1) {
-        std::fprintf(stderr, "error: --mutate-store, --deadline, and --mem-budget are mutually "
+        std::fprintf(stderr, "error: --mutate-store, --deadline, and --cone-mem are mutually "
                              "exclusive\n");
         return 2;
     }

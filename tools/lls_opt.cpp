@@ -52,12 +52,6 @@
 //                                 same program point whatever --jobs or
 //                                 cache state, so quota'd runs stay
 //                                 byte-identical
-//   --mem-budget SIZE             process-wide memory high-water rail:
-//                                 crossing it sheds the memo caches first,
-//                                 then holds batch admission until in-flight
-//                                 items release memory; committed outputs
-//                                 stay byte-identical (only the event counts
-//                                 are wall-dependent)
 //
 // Exit codes are documented in --help: 0 success; 1 not equivalent / item
 // failed; 2 usage; 10..16 per ErrorKind; 30 terminated by SIGTERM/SIGINT
@@ -84,7 +78,6 @@
 #include "common/cancel.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
-#include "common/memgov.hpp"
 #include "common/parse.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
@@ -130,7 +123,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                  "usage: %s [--flow sis|abc|dc|lookahead] [--iterations N] [--jobs N|auto]\n"
                  "          [--work-budget N]\n"
                  "          [--cone-deadline DUR]\n"
-                 "          [--cone-mem SIZE] [--mem-budget SIZE]\n"
+                 "          [--cone-mem SIZE]\n"
                  "          [--fault-inject SPEC]\n"
                  "          [--cache-dir DIR] [--cache-mode read|write|rw|off]\n"
                  "          [--no-verify] [--map]\n"
@@ -210,8 +203,7 @@ int main(int argc, char** argv) {
     int iterations = 10;
     int jobs = 1;
     std::uint64_t work_budget = 0;
-    std::uint64_t cone_mem_bytes = 0, mem_budget_bytes = 0;
-    bool governor_requested = false;
+    std::uint64_t cone_mem_bytes = 0;
     double cone_deadline = 0.0;
     bool verify = true, map_report = false, print_stats = false, print_metrics = false;
     bool batch = false, resume = false;
@@ -236,11 +228,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--cone-mem" && i + 1 < argc) {
             if (!lls::parse_size_option("--cone-mem", argv[++i], &cone_mem_bytes))
                 return usage(argv[0]);
-            governor_requested = true;
-        } else if (arg == "--mem-budget" && i + 1 < argc) {
-            if (!lls::parse_size_option("--mem-budget", argv[++i], &mem_budget_bytes))
-                return usage(argv[0]);
-            governor_requested = true;
         } else if (arg == "--batch") {
             batch = true;
         } else if (arg == "--out-dir" && i + 1 < argc) {
@@ -354,33 +341,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Memory governance: either flag instantiates the Tier-2 accountant so
-    // `engine.mem.charged_bytes` is meaningful even on quota-only runs
-    // (budget 0 = accounting without the relief rail). The governor owns no
-    // components — the engine binds solver arenas and BDD managers to it,
-    // the memo caches register gauges + shed hooks here, and the warm-start
-    // sets contribute a constant gauge.
-    std::unique_ptr<lls::MemoryGovernor> governor;
-    if (governor_requested) {
-        governor = std::make_unique<lls::MemoryGovernor>(mem_budget_bytes);
-        lls::register_memo_governance(*governor);
-        if (warm) {
-            lls::WarmStart* warm_ptr = warm.get();
-            governor->add_gauge([warm_ptr] { return warm_ptr->approx_bytes(); });
-        }
-        engine.governor = governor.get();
-    }
-
-    // Final store flush and governor report, shared by both modes.
-    auto flush_store = [&]() {
-        if (warm) warm->finalize();
-        if (governor)
-            std::printf("memgov: %llu bytes charged, %llu shed event(s), %llu admission "
-                        "hold(s)\n",
-                        static_cast<unsigned long long>(governor->charged_total()),
-                        static_cast<unsigned long long>(governor->shed_events()),
-                        static_cast<unsigned long long>(governor->admission_holds()));
-    };
     // Metrics dumps. Returns false (-> exit 1) only when --metrics-json
     // cannot be written.
     auto dump_metrics = [&]() -> bool {
@@ -397,8 +357,9 @@ int main(int argc, char** argv) {
         }
         return true;
     };
+    // Final store flush, then the metrics dumps.
     auto epilogue = [&]() -> bool {
-        flush_store();
+        if (warm) warm->finalize();
         return dump_metrics();
     };
 
@@ -628,7 +589,7 @@ int main(int argc, char** argv) {
                      g_signal.load());
         return lls::kExitSignalShutdown;
     }
-    flush_store();
+    if (warm) warm->finalize();
 
     if (verify) {
         const lls::CecResult cec = lls::check_equivalence(circuit, optimized, 4000000);

@@ -3,7 +3,8 @@
 # output check (default lookahead runs and the sis/abc/dc baseline flows on
 # the regression circuits must reproduce the sha256 recorded in
 # tests/data/golden.sha256), a check that `lls_opt --map --metrics`
-# reports the mapping timer, a budgeted determinism check of the CLI
+# reports the mapping timer, a check that deleted flags exit 2, a
+# budgeted determinism check of the CLI
 # (same circuit + work budget at several --jobs values must produce
 # byte-identical outputs), a batch
 # jobs-invariance check (outputs byte-identical across --jobs 1/2/4), a
@@ -69,6 +70,18 @@ grep -q "mapping.map" "$WORKDIR/map_metrics.txt" || {
     echo "mapping.map missing from lls_opt --map --metrics"; exit 1; }
 echo "lls_opt --map --metrics reports mapping.map"
 
+echo "== stage 1d: removed flags stay removed =="
+# Deleted options must be usage errors (exit 2), not silently ignored.
+for flag in "--mem-budget 64M" "--time-budget 5s" "--steal on" "--intra-cone on" \
+            "--shared-bdd on"; do
+    rc=0
+    # shellcheck disable=SC2086 # the flag and its value are two words
+    ./build/tools/lls_opt $flag tests/data/rca16.blif "$WORKDIR/removed.blif" \
+        > /dev/null 2>&1 || rc=$?
+    [[ "$rc" == 2 ]] || { echo "lls_opt $flag: expected exit 2, got $rc"; exit 1; }
+done
+echo "removed flags exit 2"
+
 echo "== stage 2: budgeted determinism across job counts =="
 # The core claim of the deterministic work budget: exhausting it must cut
 # the run at the same round on every thread schedule, so the output files
@@ -130,28 +143,30 @@ done
 echo "outputs identical across --jobs 1/2/4, budgeted + warm cache"
 
 echo "== stage 2e: per-cone memory quota degrades deterministically =="
-# The Tier-1 memory quota's core claim: a tight --cone-mem must trip at
+# The per-cone memory quota's core claim: a tight --cone-mem must trip at
 # identical program points whatever the job count or cache state — batch
 # outputs byte-identical across --jobs 1/2/4 x cold/warm persistent cache,
-# with at least one cone actually degraded (the quota is calibrated to
-# fire on rca16).
+# with at least one cone actually degraded on each circuit (1M degrades
+# 6 cones of rca16 and 3 of control24 at --iterations 6).
 MEMCACHE="$WORKDIR/memgov_cache"
 # Seed run: populates the persistent store (quota-degraded evaluations
 # memoize and persist like any deterministic fault) and is the byte
 # reference for every later combination.
-./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M --jobs 1 \
+./build/tools/lls_opt --batch --cone-mem 1M --jobs 1 \
     --iterations 6 --cache-dir "$MEMCACHE" \
     --out-dir "$WORKDIR/mg.seed" \
     tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.seed.log"
-grep -q "memgov" "$WORKDIR/mg.seed.log" || {
-    echo "expected at least one memgov-degraded cone under --cone-mem 4M"; exit 1; }
+for name in rca16 control24; do
+    grep -qE "$name\.blif: [1-9][0-9]* cone\(s\) exceeded --cone-mem" "$WORKDIR/mg.seed.log" || {
+        echo "expected at least one quota-degraded cone of $name under --cone-mem 1M"; exit 1; }
+done
 for j in 1 2 4; do
-    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
+    ./build/tools/lls_opt --batch --cone-mem 1M \
         --jobs "$j" --iterations 6 \
         --out-dir "$WORKDIR/mg.j$j.cold" \
         tests/data/rca16.blif tests/data/control24.blif \
         > "$WORKDIR/mg.j$j.cold.log"
-    ./build/tools/lls_opt --batch --cone-mem 4M --mem-budget 64M \
+    ./build/tools/lls_opt --batch --cone-mem 1M \
         --jobs "$j" --iterations 6 \
         --cache-dir "$MEMCACHE" --cache-mode read \
         --out-dir "$WORKDIR/mg.j$j.warm" \
@@ -190,14 +205,13 @@ done
 # Store-file mutation fuzzing: random corruption of published shards must
 # always degrade to a byte-identical cold recompute, never a crash.
 (cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mutate-store 3 4242)
-# Memory-governor fuzzing: random tight per-cone quotas + small global
-# budgets must always be contained (equivalent, never "recovered",
-# byte-identical across job counts).
-(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --mem-budget 3 4242)
+# Memory-quota fuzzing: random tight per-cone quotas must always be
+# contained (equivalent, never "recovered", byte-identical across job
+# counts).
+(cd "$WORKDIR" && "$REPO/build/tools/lls_fuzz" --cone-mem 3 4242)
 # The full test suite again under AddressSanitizer: the recovery ladder's
-# throw/catch/degrade paths, the quota exhaustion throws, and the
-# governor's shed/admission machinery must be leak- and corruption-free,
-# not just functionally right.
+# throw/catch/degrade paths and the quota exhaustion throws must be leak-
+# and corruption-free, not just functionally right.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLLS_SANITIZE=address
 cmake --build build-asan -j "$JOBS"
 (cd build-asan && ctest --output-on-failure -j "$JOBS")
