@@ -245,6 +245,23 @@ void BM_SatSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_SatSweep);
 
+void BM_SatConeProofs(benchmark::State& state) {
+    // One cone's SAT proofs in context: decomposing an adder's carry-out
+    // cone from sampled patterns proves every don't-care candidate of
+    // secondary simplification and every implication rule by SAT, then
+    // verifies the result by CEC. The rest of the decomposition (SPCF,
+    // clustering, reduction) is the same work on every commit.
+    const Aig rca = ripple_carry_adder(static_cast<int>(state.range(0)));
+    const Aig cone = extract_cone(rca, rca.num_pos() - 1);
+    LookaheadParams params;
+    params.force_random_patterns = true;
+    for (auto _ : state) {
+        Rng rng(7);
+        benchmark::DoNotOptimize(decompose_output(cone, params, rng));
+    }
+}
+BENCHMARK(BM_SatConeProofs)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+
 void BM_Balance(benchmark::State& state) {
     const Aig adder = ripple_carry_adder(64);
     for (auto _ : state) {

@@ -90,17 +90,13 @@ Aig permissible_function_simplify(const Aig& aig, const PermissibleOptions& opti
             joint.add_po(miter, "miter");
 
             sat::Solver solver;
-            std::vector<int> pi_vars(joint.num_pis());
-            for (auto& v : pi_vars) v = solver.new_var();
-            const auto sat_lits = encode_aig_nodes(joint, solver, pi_vars);
+            AigCnf cnf(joint, solver);
             auto net_lit = [&](std::uint32_t node) {
                 const AigLit in_full = map_a[node];
-                const AigLit in_joint = in_full.complemented()
-                                            ? !node_map_a[in_full.node()]
-                                            : node_map_a[in_full.node()];
-                return sat_lit_of(sat_lits, in_joint);
+                return cnf.lit(in_full.complemented() ? !node_map_a[in_full.node()]
+                                                      : node_map_a[in_full.node()]);
             };
-            const sat::Lit miter_lit = sat_lit_of(sat_lits, joint.po(joint.num_pos() - 1));
+            const sat::Lit miter_lit = cnf.lit(joint.po(joint.num_pos() - 1));
 
             for (std::uint32_t m = 0; m < (1u << k); ++m) {
                 if (!dc_candidates.get_bit(m)) continue;

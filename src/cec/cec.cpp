@@ -11,8 +11,8 @@
 
 namespace lls {
 
-std::vector<sat::Lit> encode_aig_nodes(const Aig& aig, sat::Solver& solver,
-                                       const std::vector<int>& pi_vars) {
+std::vector<sat::Lit> encode_aig(const Aig& aig, sat::Solver& solver,
+                                 const std::vector<int>& pi_vars) {
     LLS_REQUIRE(pi_vars.size() == aig.num_pis());
     // node_lit[id] = SAT literal equal to the node's (uncomplemented) value.
     std::vector<sat::Lit> node_lit(aig.num_nodes());
@@ -41,16 +41,67 @@ std::vector<sat::Lit> encode_aig_nodes(const Aig& aig, sat::Solver& solver,
         solver.add_clause(c, !a, !b);
         node_lit[id] = c;
     }
-    return node_lit;
-}
-
-std::vector<sat::Lit> encode_aig(const Aig& aig, sat::Solver& solver,
-                                 const std::vector<int>& pi_vars) {
-    const auto node_lit = encode_aig_nodes(aig, solver, pi_vars);
     std::vector<sat::Lit> pos;
     pos.reserve(aig.num_pos());
-    for (std::size_t i = 0; i < aig.num_pos(); ++i) pos.push_back(sat_lit_of(node_lit, aig.po(i)));
+    for (std::size_t i = 0; i < aig.num_pos(); ++i) pos.push_back(lit_of(aig.po(i)));
     return pos;
+}
+
+AigCnf::AigCnf(const Aig& aig, sat::Solver& solver)
+    : aig_(aig), solver_(solver), node_lit_(aig.num_nodes()) {
+    // Constant node: a dedicated variable forced to 0.
+    const int const_var = solver_.new_var();
+    solver_.add_clause(sat::Lit(const_var, true));
+    node_lit_[0] = sat::Lit(const_var, false);
+    num_loaded_ = 1;
+}
+
+sat::Lit AigCnf::lit(AigLit lit) {
+    if (node_lit_.size() < aig_.num_nodes()) node_lit_.resize(aig_.num_nodes());
+    stack_.clear();  // a throwing add_clause may have left a walk behind
+    auto sat_lit = [&](AigLit l) {
+        const sat::Lit s = node_lit_[l.node()];
+        return l.complemented() ? !s : s;
+    };
+    // Post-order walk: a node is loaded once both fanins are.
+    if (node_lit_[lit.node()].value < 0) stack_.push_back(lit.node());
+    while (!stack_.empty()) {
+        const std::uint32_t id = stack_.back();
+        if (node_lit_[id].value >= 0) {  // reached twice before loading
+            stack_.pop_back();
+            continue;
+        }
+        if (!aig_.is_and(id)) {  // a PI
+            node_lit_[id] = sat::Lit(solver_.new_var(), false);
+            ++num_loaded_;
+            stack_.pop_back();
+            continue;
+        }
+        const auto& n = aig_.node(id);
+        const bool ready0 = node_lit_[n.fanin0.node()].value >= 0;
+        const bool ready1 = node_lit_[n.fanin1.node()].value >= 0;
+        if (!ready0 || !ready1) {
+            if (!ready1) stack_.push_back(n.fanin1.node());
+            if (!ready0) stack_.push_back(n.fanin0.node());
+            continue;
+        }
+        const sat::Lit a = sat_lit(n.fanin0);
+        const sat::Lit b = sat_lit(n.fanin1);
+        const sat::Lit c = sat::Lit(solver_.new_var(), false);
+        solver_.add_clause(!c, a);
+        solver_.add_clause(!c, b);
+        solver_.add_clause(c, !a, !b);
+        node_lit_[id] = c;
+        ++num_loaded_;
+        stack_.pop_back();
+    }
+    return sat_lit(lit);
+}
+
+bool AigCnf::pi_value(std::size_t i) const {
+    const std::uint32_t id = aig_.pi(i);
+    if (id >= node_lit_.size() || node_lit_[id].value < 0) return false;
+    return solver_.model_value(node_lit_[id].var());
 }
 
 namespace {
@@ -127,23 +178,22 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
 
     sat::Solver solver;
     solver.bind_run_context(&ctx);
-    std::vector<int> pi_vars(swept.num_pis());
-    for (auto& v : pi_vars) v = solver.new_var();
-    const auto node_lits = encode_aig_nodes(swept, solver, pi_vars);
+    AigCnf cnf(swept, solver);
 
-    // Miter over the unresolved pairs: OR of XORs must be UNSAT.
+    // Miter over the unresolved pairs: OR of XORs must be UNSAT. Only the
+    // fan-in cones of those pairs are loaded.
     std::vector<sat::Lit> xor_lits;
     for (const auto o : unresolved) {
+        const sat::Lit p = cnf.lit(swept.po(o));
+        const sat::Lit q = cnf.lit(swept.po(a.num_pos() + o));
         const sat::Lit x = sat::Lit(solver.new_var(), false);
-        const sat::Lit p = sat_lit_of(node_lits, swept.po(o));
-        const sat::Lit q = sat_lit_of(node_lits, swept.po(a.num_pos() + o));
         solver.add_clause(!x, p, q);
         solver.add_clause(!x, !p, !q);
         solver.add_clause(x, !p, q);
         solver.add_clause(x, p, !q);
         xor_lits.push_back(x);
     }
-    solver.add_clause(std::move(xor_lits));
+    solver.add_clause(xor_lits);
 
     const sat::Status status = solver.solve({}, conflict_limit);
     if (ctx.cost != nullptr)
@@ -159,7 +209,7 @@ CecResult check_equivalence(const Aig& a, const Aig& b, std::int64_t conflict_li
     result.equivalent = false;
     result.counterexample.resize(a.num_pis());
     for (std::size_t i = 0; i < a.num_pis(); ++i)
-        result.counterexample[i] = solver.model_value(pi_vars[i]);
+        result.counterexample[i] = cnf.pi_value(i);
     return result;
 }
 
@@ -175,11 +225,11 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
     // word-wise comparison and hashing stay consistent as words are appended.
     std::vector<Signature> sigs = simulate(aig, patterns);
 
+    // One solver for every query; each query loads only the fan-in cones
+    // of the nodes it compares.
     sat::Solver solver;
     solver.bind_run_context(&ctx);
-    std::vector<int> pi_vars(aig.num_pis());
-    for (auto& v : pi_vars) v = solver.new_var();
-    const std::vector<sat::Lit> node_lit = encode_aig_nodes(aig, solver, pi_vars);
+    AigCnf cnf(aig, solver);
 
     // --- counterexample refinement ------------------------------------------
     // valid_mask[w] marks the bits of signature word w that correspond to
@@ -243,7 +293,7 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
     };
     auto record_cex = [&]() {
         std::vector<bool> cex(aig.num_pis());
-        for (std::size_t i = 0; i < aig.num_pis(); ++i) cex[i] = solver.model_value(pi_vars[i]);
+        for (std::size_t i = 0; i < aig.num_pis(); ++i) cex[i] = cnf.pi_value(i);
         pending_cex.push_back(std::move(cex));
     };
 
@@ -264,8 +314,8 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
         return -1;
     };
     auto proved_equal = [&](std::uint32_t n1, std::uint32_t n2, bool complemented) {
-        const sat::Lit a = node_lit[n1];
-        const sat::Lit b = complemented ? !node_lit[n2] : node_lit[n2];
+        const sat::Lit a = cnf.lit(AigLit::make(n1, false));
+        const sat::Lit b = cnf.lit(AigLit::make(n2, complemented));
         return try_impossible(a, !b) == 1 && try_impossible(!a, b) == 1;
     };
 
@@ -293,9 +343,12 @@ Aig sat_sweep(const Aig& aig, Rng& rng, std::int64_t conflict_limit, std::size_t
         const AigLit lit = out.land(f0, f1);
 
         // Constant-candidate check.
-        if (is_zero_sig(sigs[id]) && try_impossible(node_lit[id], node_lit[id]) == 1) {
-            remap[id] = AigLit::constant(false);
-            continue;
+        if (is_zero_sig(sigs[id])) {
+            const sat::Lit x = cnf.lit(AigLit::make(id, false));
+            if (try_impossible(x, x) == 1) {
+                remap[id] = AigLit::constant(false);
+                continue;
+            }
         }
 
         bool merged = false;

@@ -16,16 +16,34 @@ namespace lls {
 std::vector<sat::Lit> encode_aig(const Aig& aig, sat::Solver& solver,
                                  const std::vector<int>& pi_vars);
 
-/// Like encode_aig, but returns the SAT literal of every AIG *node*
-/// (index = node id), letting callers constrain internal signals.
-std::vector<sat::Lit> encode_aig_nodes(const Aig& aig, sat::Solver& solver,
-                                       const std::vector<int>& pi_vars);
+/// Lazy Tseitin encoding of one AIG into one solver, in the manner of ABC's
+/// fraig/cec packages: a node's variable and its three AND clauses are
+/// loaded the first time a query reaches its fan-in cone, so a solve only
+/// propagates and decides over the cones asked about so far. The constant
+/// node is loaded up front. The AIG may grow between queries (node ids are
+/// stable); it must outlive the encoder, and so must the solver.
+class AigCnf {
+public:
+    AigCnf(const Aig& aig, sat::Solver& solver);
 
-/// SAT literal of an AIG literal given the per-node encoding.
-inline sat::Lit sat_lit_of(const std::vector<sat::Lit>& node_lits, AigLit lit) {
-    const sat::Lit s = node_lits[lit.node()];
-    return lit.complemented() ? !s : s;
-}
+    /// SAT literal equal to `lit`, loading its fan-in cone first if needed.
+    sat::Lit lit(AigLit lit);
+
+    /// PI i's value in the solver's last model. A PI outside every loaded
+    /// cone reads 0: no loaded node depends on it, so the assignment still
+    /// reproduces every loaded node's model value under simulation.
+    bool pi_value(std::size_t i) const;
+
+    /// Nodes loaded so far, the constant included.
+    std::size_t num_loaded() const { return num_loaded_; }
+
+private:
+    const Aig& aig_;
+    sat::Solver& solver_;
+    std::vector<sat::Lit> node_lit_;  // per node id; value -1 until loaded
+    std::vector<std::uint32_t> stack_;
+    std::size_t num_loaded_ = 0;
+};
 
 struct CecResult {
     bool equivalent = false;

@@ -209,44 +209,45 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
             proof_tasks.push_back(std::move(task));
         }
 
-        // Prove the candidates, task by task: each task encodes the
-        // snapshot into its own solver and runs its minterm queries in
-        // minterm order. Its conflicts are charged on every exit path, so
-        // a faulted rung costs what it spent.
+        // Prove the candidates: one solver serves every task, loading the
+        // snapshot's cones lazily, and asks each minterm through
+        // assumptions, task by task in minterm order. Its conflicts are
+        // charged on every exit path, so a faulted rung costs what it spent.
         if (need_sat) {
             std::uint64_t sat_queries = 0;
-            for (DcProofTask& task : proof_tasks) {
-                sat_queries += task.queries.size();
-                sat::Solver solver;
-                solver.bind_run_context(&ctx);
-                try {
-                    std::vector<int> pi_vars(snapshot.num_pis());
-                    for (auto& v : pi_vars) v = solver.new_var();
-                    const auto aig_lits = encode_aig_nodes(snapshot, solver, pi_vars);
-                    const sat::Lit sigma_lit = sat_lit_of(aig_lits, node_map[sigma]);
+            sat::Solver solver;
+            solver.bind_run_context(&ctx);
+            auto charge_solver = [&] {
+                cost.sat_conflicts += static_cast<std::uint64_t>(solver.num_conflicts());
+                // Historical name, kept because the benchmark's per-layer list reads it.
+                metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
+            };
+            try {
+                AigCnf cnf(snapshot, solver);
+                const sat::Lit not_sigma_lit = cnf.lit(!node_map[sigma]);
+                std::vector<sat::Lit> assumptions;
+                for (DcProofTask& task : proof_tasks) {
                     const auto& fanins = net.fanins(task.node);
                     for (const std::uint32_t minterm : task.queries) {
                         // Between-queries poll: a fired cone deadline (or a
                         // shutdown) stops at the next query boundary.
                         ctx.poll_cancellation("simplify");
-                        std::vector<sat::Lit> assumptions{!sigma_lit};
+                        assumptions.assign(1, not_sigma_lit);
                         for (std::size_t f = 0; f < fanins.size(); ++f) {
-                            const sat::Lit l = sat_lit_of(aig_lits, node_map[fanins[f]]);
-                            assumptions.push_back(((minterm >> f) & 1) ? l : !l);
+                            const AigLit l = node_map[fanins[f]];
+                            assumptions.push_back(cnf.lit(((minterm >> f) & 1) ? l : !l));
                         }
+                        ++sat_queries;
                         if (solver.solve(assumptions, params.sat_conflict_limit) ==
                             sat::Status::Unsat)
                             task.dc.set_bit(minterm, true);
                     }
-                } catch (...) {
-                    cost.sat_conflicts += static_cast<std::uint64_t>(solver.num_conflicts());
-                    metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
-                    throw;
                 }
-                cost.sat_conflicts += static_cast<std::uint64_t>(solver.num_conflicts());
+            } catch (...) {
+                charge_solver();
+                throw;
             }
-            // Historical name, kept because the benchmark's per-layer list reads it.
-            metrics_of(ctx).counter("engine.intracone.queries").add(sat_queries);
+            charge_solver();
         }
 
         // Commit the proven don't-cares in cone order.
@@ -273,22 +274,15 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
 
     // Implication oracle: signature screen first (sound for refutation),
     // exhaustive patterns prove directly, otherwise SAT proves.
+    // Candidates grow `full` between queries; the encoder loads only the
+    // queried cones, which all predate them.
     sat::Solver impl_solver;
     impl_solver.bind_run_context(&ctx);
-    std::vector<sat::Lit> full_sat;
-    bool impl_solver_ready = false;
-    auto ensure_impl_solver = [&]() {
-        if (impl_solver_ready) return;
-        std::vector<int> pi_vars(full.num_pis());
-        for (auto& v : pi_vars) v = impl_solver.new_var();
-        full_sat = encode_aig_nodes(full, impl_solver, pi_vars);
-        impl_solver_ready = true;
-    };
+    AigCnf impl_cnf(full, impl_solver);
     auto implies = [&](AigLit x, AigLit y) {
         if (!signature_implies(lit_sig(x), lit_sig(y))) return false;
         if (patterns.is_exhaustive()) return true;
-        ensure_impl_solver();
-        return impl_solver.solve({sat_lit_of(full_sat, x), sat_lit_of(full_sat, !y)},
+        return impl_solver.solve({impl_cnf.lit(x), impl_cnf.lit(!y)},
                                  params.sat_conflict_limit) == sat::Status::Unsat;
     };
 

@@ -32,7 +32,11 @@
 namespace lls::persist {
 
 inline constexpr char kMagic[8] = {'L', 'L', 'S', 'M', 'E', 'M', 'O', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bumped whenever a stored value would replay something a cold run no
+/// longer computes. Version 2: SAT queries load only the cones they reach,
+/// which moves the conflict counts (WorkCost) and the --cone-mem
+/// degradations stored with each evaluation.
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Shard files published by the store; anything else in the cache
 /// directory (temp files, journals, stray files) is ignored by the loader.
 inline constexpr const char* kShardExtension = ".shard";

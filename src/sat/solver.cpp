@@ -18,7 +18,7 @@ constexpr std::int64_t kGovernorChunkBytes = 256 << 10;
 
 void Solver::sync_governor_accounting() {
     if (run_context_ == nullptr || run_context_->governor == nullptr) return;
-    const std::int64_t live = static_cast<std::int64_t>(num_literals_) *
+    const std::int64_t live = static_cast<std::int64_t>(arena_.size()) *
                               static_cast<std::int64_t>(memcost::kSatLiteralBytes);
     const std::int64_t delta = live - governor_charged_;
     if (delta >= kGovernorChunkBytes || delta <= -kGovernorChunkBytes) {
@@ -28,7 +28,7 @@ void Solver::sync_governor_accounting() {
 }
 
 void Solver::charge_literals(std::size_t count) {
-    if (num_literals_ + count > literal_limit_)
+    if (arena_.size() + count > literal_limit_)
         throw LlsError(ErrorKind::ResourceExhausted,
                        "SAT literal limit exceeded (" + std::to_string(literal_limit_) +
                            " literals)",
@@ -39,8 +39,6 @@ void Solver::charge_literals(std::size_t count) {
     // nothing was stored yet, so the solver stays usable.
     if (run_context_ != nullptr)
         run_context_->charge_memory(count * memcost::kSatLiteralBytes);
-    num_literals_ += count;
-    sync_governor_accounting();
 }
 
 int Solver::new_var() {
@@ -58,30 +56,35 @@ int Solver::new_var() {
     return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(const Lit* lits, std::size_t n) {
     LLS_REQUIRE(trail_lim_.empty() && "clauses must be added at decision level 0");
     if (unsat_) return false;
 
     // Normalize: sort, remove duplicates, detect tautologies and falsified
     // literals (at level 0).
-    std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.value < b.value; });
-    std::vector<Lit> kept;
-    for (std::size_t i = 0; i < lits.size(); ++i) {
-        LLS_REQUIRE(lits[i].var() < num_vars());
-        if (i > 0 && lits[i] == lits[i - 1]) continue;
-        if (i > 0 && lits[i] == !lits[i - 1]) return true;  // tautology
-        const int v = lit_value(lits[i]);
+    add_buf_.assign(lits, lits + n);
+    std::sort(add_buf_.begin(), add_buf_.end(),
+              [](Lit a, Lit b) { return a.value < b.value; });
+    std::size_t kept = 0;  // kept literals are compacted to the front
+    Lit prev{};
+    for (std::size_t i = 0; i < add_buf_.size(); ++i) {
+        const Lit l = add_buf_[i];
+        LLS_REQUIRE(l.var() < num_vars());
+        if (i > 0 && l == prev) continue;
+        if (i > 0 && l == !prev) return true;  // tautology
+        prev = l;
+        const int v = lit_value(l);
         if (v == 1) return true;  // already satisfied at level 0
         if (v == 0) continue;     // falsified at level 0, drop
-        kept.push_back(lits[i]);
+        add_buf_[kept++] = l;
     }
 
-    if (kept.empty()) {
+    if (kept == 0) {
         unsat_ = true;
         return false;
     }
-    if (kept.size() == 1) {
-        enqueue(kept[0], -1);
+    if (kept == 1) {
+        enqueue(add_buf_[0], -1);
         if (propagate() != -1) {
             unsat_ = true;
             return false;
@@ -89,15 +92,24 @@ bool Solver::add_clause(std::vector<Lit> lits) {
         return true;
     }
 
-    charge_literals(kept.size());
-    clauses_.push_back(Clause{std::move(kept), false, 0.0});
-    attach_clause(static_cast<int>(clauses_.size()) - 1);
+    charge_literals(kept);
+    store_clause(add_buf_.data(), kept, false, 0.0);
     return true;
 }
 
+int Solver::store_clause(const Lit* lits, std::size_t n, bool learned, double activity) {
+    const int ci = static_cast<int>(clauses_.size());
+    clauses_.push_back(Clause{static_cast<std::uint32_t>(arena_.size()),
+                              static_cast<std::uint32_t>(n), learned, activity});
+    arena_.insert(arena_.end(), lits, lits + n);
+    sync_governor_accounting();
+    attach_clause(ci);
+    return ci;
+}
+
 void Solver::attach_clause(int ci) {
-    const auto& c = clauses_[ci].lits;
-    LLS_DCHECK(c.size() >= 2);
+    const Lit* c = clause_lits(ci);
+    LLS_DCHECK(clauses_[ci].size >= 2);
     watches_[(!c[0]).value].push_back(Watcher{ci, c[1]});
     watches_[(!c[1]).value].push_back(Watcher{ci, c[0]});
 }
@@ -123,7 +135,8 @@ int Solver::propagate() {
                 ws[keep++] = w;
                 continue;
             }
-            auto& lits = clauses_[w.clause].lits;
+            Lit* lits = clause_lits(w.clause);
+            const std::size_t size = clauses_[w.clause].size;
             // Make sure the falsified literal is lits[1].
             const Lit false_lit = !p;
             if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
@@ -134,7 +147,7 @@ int Solver::propagate() {
             }
             // Look for a new literal to watch.
             bool found = false;
-            for (std::size_t k = 2; k < lits.size(); ++k) {
+            for (std::size_t k = 2; k < size; ++k) {
                 if (lit_value(lits[k]) != 0) {
                     std::swap(lits[1], lits[k]);
                     watches_[(!lits[1]).value].push_back(Watcher{w.clause, lits[0]});
@@ -188,9 +201,9 @@ void Solver::decay_activities() {
     clause_inc_ /= 0.999;
 }
 
-void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level) {
-    learned->clear();
-    learned->push_back(Lit{});  // slot for the asserting literal
+int Solver::analyze(int confl) {
+    learned_.clear();
+    learned_.push_back(Lit{});  // slot for the asserting literal
     int counter = 0;
     Lit p{};
     std::size_t index = trail_.size();
@@ -199,10 +212,11 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
     do {
         LLS_DCHECK(confl != -1);
         bump_clause(confl);
-        const auto& lits = clauses_[confl].lits;
+        const Lit* lits = clause_lits(confl);
+        const std::size_t size = clauses_[confl].size;
         // Skip lits[0] on the first iteration only when it is the conflict
         // clause (all literals false); afterwards lits[0] == p.
-        for (std::size_t i = (p.value == -1 ? 0 : 1); i < lits.size(); ++i) {
+        for (std::size_t i = (p.value == -1 ? 0 : 1); i < size; ++i) {
             const Lit q = lits[i];
             if (seen_[q.var()] || level_[q.var()] == 0) continue;
             seen_[q.var()] = 1;
@@ -210,7 +224,7 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
             if (level_[q.var()] == current_level)
                 ++counter;
             else
-                learned->push_back(q);
+                learned_.push_back(q);
         }
         // Find the next literal on the trail that is marked.
         while (!seen_[trail_[index - 1].var()]) --index;
@@ -220,19 +234,21 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
         seen_[p.var()] = 0;
         --counter;
     } while (counter > 0);
-    (*learned)[0] = !p;
+    learned_[0] = !p;
 
     // Simple self-subsumption minimization: drop literals whose reason
     // clause is entirely covered by the learned clause.
-    std::vector<Lit> minimized;
-    minimized.push_back((*learned)[0]);
-    for (std::size_t i = 1; i < learned->size(); ++i) {
-        const Lit q = (*learned)[i];
+    minimized_buf_.clear();
+    minimized_buf_.push_back(learned_[0]);
+    for (std::size_t i = 1; i < learned_.size(); ++i) {
+        const Lit q = learned_[i];
         const int r = reason_[q.var()];
         bool redundant = false;
         if (r != -1) {
             redundant = true;
-            for (const Lit x : clauses_[r].lits) {
+            const Lit* reason = clause_lits(r);
+            for (std::size_t k = 0; k < clauses_[r].size; ++k) {
+                const Lit x = reason[k];
                 if (x == !q) continue;
                 if (level_[x.var()] == 0) continue;
                 if (!seen_[x.var()]) {
@@ -241,20 +257,18 @@ void Solver::analyze(int confl, std::vector<Lit>* learned, int* backtrack_level)
                 }
             }
         }
-        if (!redundant) minimized.push_back(q);
+        if (!redundant) minimized_buf_.push_back(q);
     }
-    for (std::size_t i = 1; i < learned->size(); ++i) seen_[(*learned)[i].var()] = 0;
-    *learned = std::move(minimized);
+    for (std::size_t i = 1; i < learned_.size(); ++i) seen_[learned_[i].var()] = 0;
+    learned_.swap(minimized_buf_);
 
     // Backtrack level = second highest level in the clause.
-    *backtrack_level = 0;
-    if (learned->size() > 1) {
-        std::size_t max_i = 1;
-        for (std::size_t i = 2; i < learned->size(); ++i)
-            if (level_[(*learned)[i].var()] > level_[(*learned)[max_i].var()]) max_i = i;
-        std::swap((*learned)[1], (*learned)[max_i]);
-        *backtrack_level = level_[(*learned)[1].var()];
-    }
+    if (learned_.size() == 1) return 0;
+    std::size_t max_i = 1;
+    for (std::size_t i = 2; i < learned_.size(); ++i)
+        if (level_[learned_[i].var()] > level_[learned_[max_i].var()]) max_i = i;
+    std::swap(learned_[1], learned_[max_i]);
+    return level_[learned_[1].var()];
 }
 
 void Solver::backtrack(int level) {
@@ -353,16 +367,24 @@ void Solver::reduce_learned() {
     for (std::size_t i = 0; i < learned_idx.size() / 2; ++i)
         if (!is_reason[learned_idx[i]]) drop[learned_idx[i]] = 1;
 
-    std::vector<Clause> kept;
+    // Compact headers and arena in place; surviving clauses keep their
+    // order, and each moves its literals only towards the front.
     std::vector<int> remap(clauses_.size(), -1);
-    for (int i = 0; i < static_cast<int>(clauses_.size()); ++i) {
+    std::size_t kept = 0;
+    std::uint32_t arena_end = 0;
+    for (std::size_t i = 0; i < clauses_.size(); ++i) {
         if (drop[i]) continue;
-        remap[i] = static_cast<int>(kept.size());
-        kept.push_back(std::move(clauses_[i]));
+        Clause c = clauses_[i];
+        if (c.begin != arena_end) {
+            std::copy_n(arena_.begin() + c.begin, c.size, arena_.begin() + arena_end);
+            c.begin = arena_end;
+        }
+        arena_end += c.size;
+        remap[i] = static_cast<int>(kept);
+        clauses_[kept++] = c;
     }
-    clauses_ = std::move(kept);
-    num_literals_ = 0;
-    for (const auto& c : clauses_) num_literals_ += c.lits.size();
+    clauses_.resize(kept);
+    arena_.resize(arena_end);
     sync_governor_accounting();
     for (int v = 0; v < num_vars(); ++v)
         if (reason_[v] != -1) reason_[v] = remap[reason_[v]];
@@ -416,23 +438,19 @@ Status Solver::search(const std::vector<Lit>& assumptions, std::int64_t conflict
                 unsat_ = true;
                 return Status::Unsat;
             }
-            std::vector<Lit> learned;
-            int bt_level = 0;
-            analyze(confl, &learned, &bt_level);
+            const int bt_level = analyze(confl);
             // Backtracking below the assumption levels is fine: the pending
             // assumptions are re-applied as decisions before the next branch,
             // and a learned unit contradicting an assumption surfaces as
             // UNSAT below.
             backtrack(bt_level);
-            if (learned.size() == 1) {
-                if (lit_value(learned[0]) == 0) return Status::Unsat;
-                if (lit_value(learned[0]) == kUndef) enqueue(learned[0], -1);
+            if (learned_.size() == 1) {
+                if (lit_value(learned_[0]) == 0) return Status::Unsat;
+                if (lit_value(learned_[0]) == kUndef) enqueue(learned_[0], -1);
             } else {
-                charge_literals(learned.size());
-                clauses_.push_back(Clause{learned, true, clause_inc_});
-                const int ci = static_cast<int>(clauses_.size()) - 1;
-                attach_clause(ci);
-                enqueue(learned[0], ci);
+                charge_literals(learned_.size());
+                const int ci = store_clause(learned_.data(), learned_.size(), true, clause_inc_);
+                enqueue(learned_[0], ci);
             }
             decay_activities();
             if (conflict_limit >= 0 && conflicts_ - start_conflicts >= conflict_limit)

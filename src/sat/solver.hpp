@@ -46,13 +46,22 @@ public:
 
     int num_vars() const { return static_cast<int>(assign_.size()); }
 
-    /// Adds a clause (empty clause makes the instance trivially UNSAT).
-    /// Returns false if the solver is already known to be UNSAT.
-    bool add_clause(std::vector<Lit> lits);
+    /// Adds the clause `lits[0..n)` (empty clause makes the instance
+    /// trivially UNSAT). Returns false if the solver is already known to be
+    /// UNSAT. The literals are normalized in a reused buffer, so adding a
+    /// clause allocates only when the arena or a watch list grows.
+    bool add_clause(const Lit* lits, std::size_t n);
 
-    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+    bool add_clause(const std::vector<Lit>& lits) { return add_clause(lits.data(), lits.size()); }
+    bool add_clause(Lit a) { return add_clause(&a, 1); }
+    bool add_clause(Lit a, Lit b) {
+        const Lit lits[] = {a, b};
+        return add_clause(lits, 2);
+    }
+    bool add_clause(Lit a, Lit b, Lit c) {
+        const Lit lits[] = {a, b, c};
+        return add_clause(lits, 3);
+    }
 
     /// Solves under the given assumptions. `conflict_limit` < 0 means no
     /// limit; when the limit is hit, returns Status::Unknown. Every answer
@@ -75,9 +84,12 @@ public:
     /// OOM-kill the process; the solver itself stays usable — the exception
     /// surfaces before the offending clause is stored. The default is
     /// generous (hundreds of MB); tests shrink it to exercise recovery.
-    void set_literal_limit(std::size_t limit) { literal_limit_ = limit; }
+    void set_literal_limit(std::size_t limit) {
+        LLS_REQUIRE(limit <= UINT32_MAX);
+        literal_limit_ = limit;
+    }
     std::size_t literal_limit() const { return literal_limit_; }
-    std::size_t num_literals() const { return num_literals_; }
+    std::size_t num_literals() const { return arena_.size(); }
 
     /// Binds the run's cancellation context (common/run_context.hpp): the
     /// decide loop then polls the context's token every iteration and its
@@ -93,8 +105,13 @@ public:
 private:
     static constexpr int kUndef = -1;
 
+    /// A clause is a header over `arena_[begin, begin + size)`. Clauses
+    /// are appended in creation order and only `reduce_learned` removes
+    /// them, compacting the arena, so the arena holds exactly the live
+    /// literals — at most `literal_limit_`, which fits 32-bit offsets.
     struct Clause {
-        std::vector<Lit> lits;
+        std::uint32_t begin = 0;
+        std::uint32_t size = 0;
         bool learned = false;
         double activity = 0.0;
     };
@@ -112,8 +129,14 @@ private:
     }
 
     void enqueue(Lit l, int reason);
+    Lit* clause_lits(int ci) { return arena_.data() + clauses_[ci].begin; }
+    /// Appends `lits` to the arena as a new clause and attaches it; returns
+    /// its index. The caller has charged the literals.
+    int store_clause(const Lit* lits, std::size_t n, bool learned, double activity);
     int propagate();  // returns conflicting clause index or -1
-    void analyze(int confl, std::vector<Lit>* learned, int* backtrack_level);
+    /// First-UIP analysis of `confl` into `learned_`; returns the level to
+    /// backtrack to.
+    int analyze(int confl);
     void backtrack(int level);
     /// The CDCL loop behind `solve`; may return above level 0.
     Status search(const std::vector<Lit>& assumptions, std::int64_t conflict_limit);
@@ -138,6 +161,7 @@ private:
     static std::int64_t luby(std::int64_t i);
 
     std::vector<Clause> clauses_;
+    std::vector<Lit> arena_;                     // literals of every clause
     std::vector<std::vector<Watcher>> watches_;  // indexed by literal value
     std::vector<int> assign_;                    // per var: 0/1/kUndef
     std::vector<int> level_;                     // decision level per var
@@ -153,8 +177,10 @@ private:
     std::vector<int> trail_lim_;
     std::vector<char> seen_;
     std::vector<char> model_;
+    std::vector<Lit> add_buf_;        // add_clause normalization
+    std::vector<Lit> learned_;        // analyze's learned clause
+    std::vector<Lit> minimized_buf_;  // analyze's minimization pass
     std::size_t qhead_ = 0;
-    std::size_t num_literals_ = 0;
     std::size_t literal_limit_ = std::size_t{1} << 27;  // ~128M lits = 512 MB
     double var_inc_ = 1.0;
     double clause_inc_ = 1.0;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "aig/aig_build.hpp"
 #include "common/rng.hpp"
 #include "io/generators.hpp"
 #include "sim/simulation.hpp"
@@ -181,6 +182,111 @@ TEST(EncodeAig, MiterSemantics) {
     // Force output 1 with x != y: SAT.
     EXPECT_EQ(solver.solve({pos[0], sat::Lit(pi_vars[0], false), sat::Lit(pi_vars[1], true)}),
               sat::Status::Sat);
+}
+
+/// Joint circuit of `a` and `b` over shared PIs; its PO o is
+/// a.po(o) XOR b.po(o), so a PO is satisfiable iff the pair differs.
+Aig xor_miter(const Aig& a, const Aig& b) {
+    Aig joint;
+    std::vector<AigLit> pi_map;
+    for (std::size_t i = 0; i < a.num_pis(); ++i) pi_map.push_back(joint.add_pi());
+    const auto pos_a = append_aig(joint, a, pi_map);
+    const auto pos_b = append_aig(joint, b, pi_map);
+    for (std::size_t o = 0; o < a.num_pos(); ++o) joint.add_po(joint.lxor(pos_a[o], pos_b[o]));
+    return joint;
+}
+
+/// Node ids in the transitive fan-in of `lit` (PIs included, the constant
+/// excluded), by a recursive reference walk.
+void fanin_cone(const Aig& aig, AigLit lit, std::vector<char>* in_cone) {
+    const std::uint32_t id = lit.node();
+    if (id == 0 || (*in_cone)[id]) return;
+    (*in_cone)[id] = 1;
+    if (!aig.is_and(id)) return;
+    fanin_cone(aig, aig.node(id).fanin0, in_cone);
+    fanin_cone(aig, aig.node(id).fanin1, in_cone);
+}
+
+TEST(AigCnfDiff, LazyAndEagerEncodingsAgree) {
+    // The lazy encoder must answer every miter query as the eager whole-AIG
+    // encoding does, with one solver each asked PO by PO. Every Sat model of
+    // the lazy encoder, with PIs outside the loaded cones read as 0, must be
+    // a real counterexample under simulation. Unused padding PIs and random
+    // cones that miss some PIs exercise that fill.
+    Rng rng(18);
+    int sat = 0, unsat = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t num_pis = 2 + rng.next_below(20);
+        const Aig a = rebuild(random_aig(rng, num_pis, 4 + rng.next_below(60),
+                                         1 + rng.next_below(4)),
+                              rng.next_below(3));
+        Aig b;
+        if (trial % 3 == 0) {
+            b = sat_sweep(a, rng);  // equivalent, structurally different
+        } else {
+            std::uint32_t flip = static_cast<std::uint32_t>(rng.next_below(a.num_nodes()));
+            while (!a.is_and(flip)) flip = static_cast<std::uint32_t>(rng.next_below(a.num_nodes()));
+            b = rebuild(a, 0, flip);
+        }
+        const Aig miter = xor_miter(a, b);
+
+        sat::Solver eager;
+        std::vector<int> pi_vars(miter.num_pis());
+        for (auto& v : pi_vars) v = eager.new_var();
+        const auto eager_pos = encode_aig(miter, eager, pi_vars);
+        sat::Solver lazy;
+        AigCnf cnf(miter, lazy);
+        for (std::size_t o = 0; o < miter.num_pos(); ++o) {
+            const std::string where = "trial " + std::to_string(trial) + " po " + std::to_string(o);
+            const sat::Status want = eager.solve({eager_pos[o]});
+            ASSERT_EQ(lazy.solve({cnf.lit(miter.po(o))}), want) << where;
+            if (want == sat::Status::Unsat) {
+                ++unsat;
+                continue;
+            }
+            ++sat;
+            std::vector<bool> cex(miter.num_pis());
+            for (std::size_t i = 0; i < cex.size(); ++i) cex[i] = cnf.pi_value(i);
+            EXPECT_TRUE(evaluate_pos(miter, cex)[o]) << where;
+            for (std::size_t i = 0; i < cex.size(); ++i) cex[i] = eager.model_value(pi_vars[i]);
+            EXPECT_TRUE(evaluate_pos(miter, cex)[o]) << where;
+        }
+    }
+    EXPECT_GT(sat, 0);
+    EXPECT_GT(unsat, 0);
+}
+
+TEST(AigCnf, OneQueryLoadsExactlyItsFaninConePlusTheConstant) {
+    Aig aig = ripple_carry_adder(8);
+    sat::Solver solver;
+    AigCnf cnf(aig, solver);
+    EXPECT_EQ(cnf.num_loaded(), 1u);  // the constant
+
+    const AigLit po = aig.po(2);
+    std::vector<char> in_cone(aig.num_nodes(), 0);
+    fanin_cone(aig, po, &in_cone);
+    const std::size_t cone = static_cast<std::size_t>(std::count(in_cone.begin(), in_cone.end(), 1));
+    ASSERT_LT(cone + 1, aig.num_nodes());  // a proper sub-cone
+    const sat::Lit x = cnf.lit(po);
+    EXPECT_EQ(cnf.num_loaded(), cone + 1);
+    EXPECT_EQ(solver.num_vars(), static_cast<int>(cone + 1));
+    ASSERT_EQ(solver.solve({x}), sat::Status::Sat);
+    for (std::size_t i = 0; i < aig.num_pis(); ++i) {
+        if (in_cone[aig.pi(i)]) continue;
+        EXPECT_FALSE(cnf.pi_value(i)) << "PI " << i;
+    }
+
+    // Asking again loads nothing; a node added after construction loads
+    // only itself on top of the loaded cone.
+    EXPECT_EQ(cnf.lit(!po), !x);
+    EXPECT_EQ(cnf.num_loaded(), cone + 1);
+    const AigLit grown = aig.land(po, aig.pi_lit(0));
+    in_cone.resize(aig.num_nodes(), 0);
+    fanin_cone(aig, grown, &in_cone);
+    const std::size_t grown_cone =
+        static_cast<std::size_t>(std::count(in_cone.begin(), in_cone.end(), 1));
+    ASSERT_EQ(solver.solve({cnf.lit(grown)}), sat::Status::Sat);
+    EXPECT_EQ(cnf.num_loaded(), grown_cone + 1);
 }
 
 TEST(SatSweep, MergesDuplicatedLogic) {

@@ -992,10 +992,12 @@ TEST(Engine, BatchRunLevelOomFailsItemsWithoutTearingDownTheBatch) {
 }
 
 TEST(Engine, SolverArenaBytesReachTheAccountantAndMetric) {
-    // Solver arenas report in 256 KiB chunks; rca16's whole-circuit CEC
-    // crosses one. The total must reach both the accountant and the
-    // `engine.mem.charged_bytes` metric, which the benchmark reads.
-    const Aig rca = ripple_carry_adder(16);
+    // Solver arenas report in 256 KiB chunks (about 5,500 literals). SAT
+    // queries load only the cones they reach, so rca16's solvers all stay
+    // below one chunk; rca32's cross it. The total must reach both the
+    // accountant and the `engine.mem.charged_bytes` metric, which the
+    // benchmark reads.
+    const Aig rca = ripple_carry_adder(32);
     clear_engine_caches();
     const std::uint64_t charged_before =
         Metrics::global().counter("engine.mem.charged_bytes").value();

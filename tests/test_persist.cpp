@@ -387,6 +387,26 @@ TEST(PersistStore, VersionMismatchIsRejectedAndNamed) {
     EXPECT_NE(report.notes[0].find("format version"), std::string::npos);
 }
 
+TEST(PersistStore, PreviousFormatVersionIsRejected) {
+    // A store written before the last format bump replays conflict counts
+    // and quota degradations that a cold run no longer produces, so it
+    // must cold-start rather than load.
+    static_assert(persist::kFormatVersion == 2);
+    TempDir dir("old_version");
+    const fs::path shard = publish_one_shard(dir);
+    std::string bytes = slurp(shard);
+    bytes[8] = static_cast<char>(persist::kFormatVersion - 1);
+    dump(shard, bytes);
+
+    MemoStore reader(dir.str(), StoreMode::Read);
+    const LoadReport& report = reader.load();
+    EXPECT_EQ(report.files_rejected, 1u);
+    EXPECT_EQ(report.records_loaded, 0u);
+    EXPECT_TRUE(report.cold_start);
+    ASSERT_EQ(report.notes.size(), 1u);
+    EXPECT_NE(report.notes[0].find("format version 1, expected 2"), std::string::npos);
+}
+
 TEST(PersistStore, BadMagicIsRejected) {
     TempDir dir("magic");
     const fs::path shard = publish_one_shard(dir);

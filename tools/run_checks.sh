@@ -146,27 +146,28 @@ echo "== stage 2e: per-cone memory quota degrades deterministically =="
 # The per-cone memory quota's core claim: a tight --cone-mem must trip at
 # identical program points whatever the job count or cache state — batch
 # outputs byte-identical across --jobs 1/2/4 x cold/warm persistent cache,
-# with at least one cone actually degraded on each circuit (1M degrades
-# 6 cones of rca16 and 3 of control24 at --iterations 6).
+# with at least one cone actually degraded on each circuit (128K degrades
+# 4 cones of rca16 and 2 of control24 at --iterations 6; SAT queries load
+# only the cones they reach, so 1M and 512K degrade none).
 MEMCACHE="$WORKDIR/memgov_cache"
 # Seed run: populates the persistent store (quota-degraded evaluations
 # memoize and persist like any deterministic fault) and is the byte
 # reference for every later combination.
-./build/tools/lls_opt --batch --cone-mem 1M --jobs 1 \
+./build/tools/lls_opt --batch --cone-mem 128K --jobs 1 \
     --iterations 6 --cache-dir "$MEMCACHE" \
     --out-dir "$WORKDIR/mg.seed" \
     tests/data/rca16.blif tests/data/control24.blif > "$WORKDIR/mg.seed.log"
 for name in rca16 control24; do
     grep -qE "$name\.blif: [1-9][0-9]* cone\(s\) exceeded --cone-mem" "$WORKDIR/mg.seed.log" || {
-        echo "expected at least one quota-degraded cone of $name under --cone-mem 1M"; exit 1; }
+        echo "expected at least one quota-degraded cone of $name under --cone-mem 128K"; exit 1; }
 done
 for j in 1 2 4; do
-    ./build/tools/lls_opt --batch --cone-mem 1M \
+    ./build/tools/lls_opt --batch --cone-mem 128K \
         --jobs "$j" --iterations 6 \
         --out-dir "$WORKDIR/mg.j$j.cold" \
         tests/data/rca16.blif tests/data/control24.blif \
         > "$WORKDIR/mg.j$j.cold.log"
-    ./build/tools/lls_opt --batch --cone-mem 1M \
+    ./build/tools/lls_opt --batch --cone-mem 128K \
         --jobs "$j" --iterations 6 \
         --cache-dir "$MEMCACHE" --cache-mode read \
         --out-dir "$WORKDIR/mg.j$j.warm" \
