@@ -1,8 +1,9 @@
 // Micro-benchmarks for the substrate libraries (google-benchmark): truth
 // tables (operators, permutation, cut-function expansion), ISOP/minimum-SOP,
 // AIG construction, cut enumeration, SOP tree levels, simulation,
-// floating-mode timing simulation, SAT, CEC, the baseline passes, and
-// technology mapping (cell matching, switching activity).
+// floating-mode timing simulation, network simulation and AIG rebuild,
+// SAT, CEC, the baseline passes, and technology mapping (cell matching,
+// switching activity).
 //
 //   bench_micro --benchmark_out=BENCH_micro.json --benchmark_out_format=json
 
@@ -200,6 +201,30 @@ void BM_TimingSimulation(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_TimingSimulation);
+
+void BM_NetworkSimulate(benchmark::State& state) {
+    const Network net = Network::from_aig(ripple_carry_adder(32), 5, 8);
+    Rng rng(6);
+    const SimPatterns patterns = SimPatterns::random(net.num_pis(), 1024, rng);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(net.simulate(patterns));
+    }
+}
+BENCHMARK(BM_NetworkSimulate);
+
+void BM_NetworkToAig(benchmark::State& state) {
+    // The decomposition's shape: the carry-out cone duplicated twice (the
+    // primary and secondary copies), so node functions repeat.
+    Network net = Network::from_aig(ripple_carry_adder(32), 5, 8);
+    const std::uint32_t cout = net.po(net.num_pos() - 1).node;
+    net.duplicate_cone(cout);
+    net.duplicate_cone(cout);
+    for (auto _ : state) {
+        std::vector<AigLit> map;
+        benchmark::DoNotOptimize(net.to_aig_with_map(&map));
+    }
+}
+BENCHMARK(BM_NetworkToAig);
 
 void BM_SatAdderMiter(benchmark::State& state) {
     const Aig rca = ripple_carry_adder(static_cast<int>(state.range(0)));

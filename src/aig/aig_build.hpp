@@ -21,6 +21,20 @@ AigLit build_sop(Aig& aig, const Sop& sop, const std::vector<AigLit>& fanins);
 /// its irredundant SOP (choosing the cheaper of the on-set and off-set).
 AigLit build_truth_table(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins);
 
+/// The forms a node function is instantiated from: the irredundant SOPs of
+/// its on-set and off-set, and the factoring of whichever phase factors
+/// into fewer literals (the on-set on a tie). Computing them is the costly
+/// part of instantiation, so callers that meet a function repeatedly
+/// compute its forms once.
+struct SopForms {
+    explicit SopForms(const TruthTable& tt);
+
+    Sop on;                     ///< isop(tt)
+    Sop off;                    ///< isop(~tt)
+    FactorExpr factored;        ///< factor(on) or factor(off)
+    bool factored_off = false;  ///< `factored` realizes ~tt
+};
+
 /// Tracks arrival levels of a growing (append-only) AIG incrementally.
 class AigLevelTracker {
 public:
@@ -51,6 +65,11 @@ AigLit build_sop_timed(Aig& aig, const Sop& sop, const std::vector<AigLit>& fani
 /// the factored realization (in the cheaper phase each) and returns the
 /// shallower of the two.
 AigLit build_truth_table_timed(Aig& aig, const TruthTable& tt, const std::vector<AigLit>& fanins,
+                               AigLevelTracker& levels);
+
+/// The same instantiation from precomputed forms; builds the same nodes in
+/// the same order as the truth-table overload.
+AigLit build_truth_table_timed(Aig& aig, const SopForms& forms, const std::vector<AigLit>& fanins,
                                AigLevelTracker& levels);
 
 /// Builds the single-output cone of PO `po_index` as a standalone AIG whose

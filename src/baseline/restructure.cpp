@@ -67,10 +67,6 @@ struct CutSops {
     int off_literals = 0;
 };
 
-struct TruthTableHash {
-    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
-};
-
 }  // namespace
 
 Aig restructure(const Aig& aig, const RestructureOptions& options) {

@@ -78,11 +78,9 @@ std::optional<DecomposeOutcome> decompose_output_impl(const Aig& cone,
     ctx.charge_memory(aig_sigs.size() *
                       (aig_sigs.empty() ? 0 : aig_sigs.front().size()) *
                       memcost::kSignatureWordBytes);
-    const Spcf spcf = compute_spcf(cone, patterns, aig_sigs, /*delta=*/0);
-    const std::int32_t delta = std::max<std::int32_t>(1, spcf.max_arrival - params.spcf_slack);
-    const Spcf spcf_at_delta = delta == spcf.delta
-                                   ? spcf
-                                   : compute_spcf(cone, patterns, aig_sigs, delta);
+    const TimingSimResult timing = spcf_timing(cone, patterns, aig_sigs);
+    const std::int32_t delta = std::max<std::int32_t>(1, timing.max_arrival - params.spcf_slack);
+    const Spcf spcf_at_delta = threshold_spcf(timing, delta);
     const Signature& spcf_sig = spcf_at_delta.po_spcf[0];
     ctx.check_fault("spcf", "spcf");
     if (spcf_at_delta.empty(0)) return std::nullopt;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <unordered_map>
 
 #include "aig/aig_build.hpp"
 #include "aig/cuts.hpp"
@@ -256,15 +257,21 @@ Aig Network::to_aig_with_map(std::vector<AigLit>* node_map) const {
     AigLevelTracker levels(aig);
     std::vector<AigLit> map(nodes_.size(), AigLit::constant(false));
     for (std::size_t i = 0; i < pis_.size(); ++i) map[pis_[i]] = aig.add_pi(pi_names_[i]);
+    // Duplicated cones repeat node functions, so each distinct function's
+    // SOPs and factoring are computed once. The memo is local to this call.
+    std::unordered_map<TruthTable, SopForms, TruthTableHash> forms;
     for (std::uint32_t id = 1; id < nodes_.size(); ++id) {
         if (!is_internal(id)) continue;
         std::vector<AigLit> fanin_lits;
         fanin_lits.reserve(nodes_[id].fanins.size());
         for (const auto f : nodes_[id].fanins) fanin_lits.push_back(map[f]);
+        const TruthTable& tt = nodes_[id].tt;
+        auto it = forms.find(tt);
+        if (it == forms.end()) it = forms.emplace(tt, SopForms(tt)).first;
         // Arrival-aware instantiation: node functions sit on reconstructed
         // critical paths, so the SOP trees must respect fanin skew (this is
         // the AIG realization of the SOP-aware level metric).
-        map[id] = build_truth_table_timed(aig, nodes_[id].tt, fanin_lits, levels);
+        map[id] = build_truth_table_timed(aig, it->second, fanin_lits, levels);
     }
     for (const auto& po : pos_) {
         const AigLit lit = po.complemented ? !map[po.node] : map[po.node];
@@ -312,22 +319,30 @@ Signature Network::eval_node_signature(std::uint32_t node, const std::vector<Sig
     LLS_REQUIRE(is_internal(node));
     const auto& n = nodes_[node];
     const std::size_t words = words_for_bits(num_patterns);
-    Signature out(words, 0);
     const std::size_t k = n.fanins.size();
-    // Evaluate the truth table word-by-word: assemble the minterm index per
-    // pattern from the fanin signatures.
+    const std::size_t minterms = std::size_t{1} << k;
+    // A mux tree per word: start from the 2^k minterm constants and let
+    // fanin 0 choose within each minterm pair, fanin 1 within each pair of
+    // those results, and so on. The buffer is per call, since workers
+    // evaluate nodes concurrently.
+    std::vector<std::uint64_t> buf(minterms + minterms / 2);
+    std::uint64_t* consts = buf.data();
+    std::uint64_t* level = consts + minterms;
+    for (std::size_t m = 0; m < minterms; ++m)
+        consts[m] = n.tt.get_bit(m) ? ~0ULL : 0ULL;
+    Signature out(words, 0);
     for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t out_word = 0;
-        const std::size_t base = w * 64;
-        const std::size_t limit = std::min<std::size_t>(64, num_patterns - base);
-        for (std::size_t b = 0; b < limit; ++b) {
-            std::uint32_t minterm = 0;
-            for (std::size_t f = 0; f < k; ++f)
-                minterm |= static_cast<std::uint32_t>((sigs[n.fanins[f]][w] >> b) & 1) << f;
-            if (n.tt.get_bit(minterm)) out_word |= 1ULL << b;
+        const std::uint64_t* in = consts;
+        for (std::size_t f = 0; f < k; ++f) {
+            const std::uint64_t s = sigs[n.fanins[f]][w];
+            const std::size_t half = minterms >> (f + 1);
+            for (std::size_t j = 0; j < half; ++j)
+                level[j] = in[2 * j] ^ ((in[2 * j] ^ in[2 * j + 1]) & s);
+            in = level;
         }
-        out[w] = out_word;
+        out[w] = in[0];
     }
+    if (words > 0) out.back() &= tail_mask(num_patterns);
     return out;
 }
 

@@ -123,7 +123,9 @@ public:
     std::vector<Signature> simulate(const SimPatterns& patterns) const;
 
     /// Evaluates the signature of a single node from its fanins' signatures
-    /// (used to extend a simulation incrementally after adding nodes).
+    /// (used to extend a simulation incrementally after adding nodes), 64
+    /// patterns per word operation. Bits past `num_patterns` are 0. Safe to
+    /// call concurrently on a network no one modifies.
     Signature eval_node_signature(std::uint32_t node, const std::vector<Signature>& sigs,
                                   std::size_t num_patterns) const;
 

@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/bitops.hpp"
 
@@ -72,36 +73,64 @@ Signature literal_signature(const Aig& aig, AigLit lit, const std::vector<Signat
 
 TimingSimResult timing_simulate(const Aig& aig, const SimPatterns& patterns,
                                 const std::vector<Signature>& node_sigs) {
+    const std::size_t num_patterns = patterns.num_patterns();
     TimingSimResult result;
-    result.po_arrival.assign(aig.num_pos(),
-                             std::vector<std::int32_t>(patterns.num_patterns(), 0));
-    std::vector<std::int32_t> arrival(aig.num_nodes(), 0);
+    result.po_arrival.assign(aig.num_pos(), std::vector<std::int32_t>(num_patterns, 0));
 
-    for (std::size_t p = 0; p < patterns.num_patterns(); ++p) {
-        const std::size_t word = p >> 6;
-        const std::uint64_t bit = 1ULL << (p & 63);
+    // A node's arrival never exceeds its topological level, so `planes`
+    // bit-planes hold the arrival of every node in a PO's fanin cone (a
+    // node outside every cone may wrap; no PO reads it). Plane k of node id
+    // (one word per 64 patterns) is arrival[id * planes + k]; PIs and the
+    // constant stay 0.
+    const auto depth = static_cast<unsigned>(aig.depth());
+    const auto planes = static_cast<std::size_t>(std::bit_width(depth));
+    if (planes == 0) return result;  // every PO is a PI or a constant: arrival 0
+    std::vector<std::uint64_t> arrival(aig.num_nodes() * planes, 0);
+
+    for (std::size_t w = 0; w < patterns.num_words(); ++w) {
         for (std::uint32_t id = 1; id < aig.num_nodes(); ++id) {
             if (!aig.is_and(id)) continue;
             const auto& n = aig.node(id);
-            const bool v0 =
-                ((node_sigs[n.fanin0.node()][word] & bit) != 0) != n.fanin0.complemented();
-            const bool v1 =
-                ((node_sigs[n.fanin1.node()][word] & bit) != 0) != n.fanin1.complemented();
-            const std::int32_t a0 = arrival[n.fanin0.node()];
-            const std::int32_t a1 = arrival[n.fanin1.node()];
-            std::int32_t a;
-            if (v0 && v1)
-                a = std::max(a0, a1);
-            else if (!v0 && !v1)
-                a = std::min(a0, a1);
-            else
-                a = v0 ? a1 : a0;  // the controlling (0-valued) fanin decides
-            arrival[id] = a + 1;
+            const std::uint64_t v0 =
+                node_sigs[n.fanin0.node()][w] ^ (n.fanin0.complemented() ? ~0ULL : 0ULL);
+            const std::uint64_t v1 =
+                node_sigs[n.fanin1.node()][w] ^ (n.fanin1.complemented() ? ~0ULL : 0ULL);
+            const std::uint64_t* a0 = &arrival[n.fanin0.node() * planes];
+            const std::uint64_t* a1 = &arrival[n.fanin1.node() * planes];
+            std::uint64_t* out = &arrival[id * planes];
+            // gt: patterns where a0 > a1, compared MSB-first.
+            std::uint64_t gt = 0, eq = ~0ULL;
+            for (std::size_t k = planes; k-- > 0;) {
+                gt |= eq & a0[k] & ~a1[k];
+                eq &= ~(a0[k] ^ a1[k]);
+            }
+            // Both fanins 1: the later one; both 0: the earlier one; one 0:
+            // the controlling (0-valued) fanin decides.
+            const std::uint64_t take0 = (v0 & v1 & gt) | (~v0 & ~v1 & ~gt) | (~v0 & v1);
+            std::uint64_t carry = ~0ULL;  // + 1, rippled through the planes
+            for (std::size_t k = 0; k < planes; ++k) {
+                const std::uint64_t a = a1[k] ^ ((a0[k] ^ a1[k]) & take0);
+                out[k] = a ^ carry;
+                carry &= a;
+            }
         }
+        // Decode the PO planes: set bits only (rows start at 0), and the
+        // word's maximum bit-sliced, MSB-first.
+        const std::uint64_t valid = w + 1 == patterns.num_words() ? tail_mask(num_patterns) : ~0ULL;
         for (std::size_t o = 0; o < aig.num_pos(); ++o) {
-            const std::int32_t a = arrival[aig.po(o).node()];
-            result.po_arrival[o][p] = a;
-            result.max_arrival = std::max(result.max_arrival, a);
+            const std::uint64_t* a = &arrival[aig.po(o).node() * planes];
+            std::int32_t* row = result.po_arrival[o].data() + w * 64;
+            std::uint64_t top = valid;
+            std::int32_t word_max = 0;
+            for (std::size_t k = planes; k-- > 0;) {
+                for (std::uint64_t bits = a[k] & valid; bits != 0; bits &= bits - 1)
+                    row[std::countr_zero(bits)] |= std::int32_t{1} << k;
+                if (top & a[k]) {
+                    top &= a[k];
+                    word_max |= std::int32_t{1} << k;
+                }
+            }
+            result.max_arrival = std::max(result.max_arrival, word_max);
         }
     }
     return result;

@@ -67,6 +67,10 @@ struct TimingSimResult {
 /// arrives; otherwise it waits for the latest fanin. This is the standard
 /// vector-delay model used by the telescopic-unit/timed-supersetting line of
 /// work the paper cites for approximate SPCF computation.
+///
+/// The kernel is bit-sliced: each node's arrival is held as
+/// bit_width(depth) bit-planes of one word per 64 patterns, and every
+/// AND compares, selects and increments 64 arrivals with word operations.
 TimingSimResult timing_simulate(const Aig& aig, const SimPatterns& patterns,
                                 const std::vector<Signature>& node_sigs);
 

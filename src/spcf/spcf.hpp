@@ -35,6 +35,16 @@ struct Spcf {
     }
 };
 
+/// The timing simulation an SPCF is thresholded from (`timing_simulate`,
+/// accounted to the `spcf.compute` timer).
+TimingSimResult spcf_timing(const Aig& aig, const SimPatterns& patterns,
+                            const std::vector<Signature>& node_sigs);
+
+/// Thresholds one timing simulation at `delta` (delta <= 0 selects its
+/// maximal sensitized arrival). Callers that need several thresholds
+/// simulate once and threshold as often as they like.
+Spcf threshold_spcf(const TimingSimResult& timing, std::int32_t delta = 0);
+
 /// Computes the SPCF of every PO at threshold `delta` (delta <= 0 selects
 /// the circuit's maximal sensitized arrival, i.e. the true critical paths).
 Spcf compute_spcf(const Aig& aig, const SimPatterns& patterns,

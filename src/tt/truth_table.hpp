@@ -220,4 +220,9 @@ private:
     };
 };
 
+/// Hasher for unordered containers keyed by truth table.
+struct TruthTableHash {
+    std::size_t operator()(const TruthTable& tt) const { return tt.hash(); }
+};
+
 }  // namespace lls

@@ -6,8 +6,11 @@
 #include <functional>
 #include <queue>
 
+#include "aig/aig_build.hpp"
 #include "cec/cec.hpp"
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
+#include "sop/factor.hpp"
 #include "io/generators.hpp"
 
 namespace lls {
@@ -319,6 +322,196 @@ TEST(Network, ToAigWithMapExposesInternalSignals) {
     EXPECT_EQ(aig.num_pos(), 1u);
     // PO must be the complement of node g's literal.
     EXPECT_EQ(aig.po(0), !map[g]);
+}
+
+// --- differential tests: word-parallel node evaluation and the forms memo ---
+
+/// The bit-serial kernel `eval_node_signature` replaced: assembles each
+/// pattern's minterm index bit by bit. Kept as the reference.
+Signature reference_eval_node_signature(const Network& net, std::uint32_t node,
+                                        const std::vector<Signature>& sigs,
+                                        std::size_t num_patterns) {
+    const auto& fanins = net.fanins(node);
+    const TruthTable& tt = net.function(node);
+    const std::size_t words = words_for_bits(num_patterns);
+    Signature out(words, 0);
+    for (std::size_t w = 0; w < words; ++w) {
+        const std::size_t limit = std::min<std::size_t>(64, num_patterns - w * 64);
+        for (std::size_t b = 0; b < limit; ++b) {
+            std::uint32_t minterm = 0;
+            for (std::size_t f = 0; f < fanins.size(); ++f)
+                minterm |= static_cast<std::uint32_t>((sigs[fanins[f]][w] >> b) & 1) << f;
+            if (tt.get_bit(minterm)) out[w] |= 1ULL << b;
+        }
+    }
+    return out;
+}
+
+/// The per-node instantiation `to_aig_with_map` used before the forms
+/// memo: both ISOPs and both factorings recomputed for every node.
+AigLit reference_build_truth_table_timed(Aig& aig, const TruthTable& tt,
+                                         const std::vector<AigLit>& fanins,
+                                         AigLevelTracker& levels) {
+    if (tt.is_const0()) return AigLit::constant(false);
+    if (tt.is_const1()) return AigLit::constant(true);
+    const Sop on = isop(tt);
+    const Sop off = isop(~tt);
+    const AigLit timed_on = build_sop_timed(aig, on, fanins, levels);
+    const AigLit timed_off = !build_sop_timed(aig, off, fanins, levels);
+    const AigLit timed =
+        levels.level(timed_off) < levels.level(timed_on) ? timed_off : timed_on;
+    const FactorExpr on_expr = factor(on);
+    const FactorExpr off_expr = factor(off);
+    const AigLit factored = off_expr.num_literals() < on_expr.num_literals()
+                                ? !build_factored(aig, off_expr, fanins)
+                                : build_factored(aig, on_expr, fanins);
+    return levels.level(factored) < levels.level(timed) ? factored : timed;
+}
+
+/// `to_aig_with_map` before the forms memo: every node instantiated from
+/// its truth table by the reference above.
+Aig reference_to_aig_with_map(const Network& net, std::vector<AigLit>* node_map) {
+    Aig aig;
+    AigLevelTracker levels(aig);
+    std::vector<AigLit> map(net.num_nodes(), AigLit::constant(false));
+    for (std::size_t i = 0; i < net.num_pis(); ++i) map[net.pi(i)] = aig.add_pi(net.pi_name(i));
+    for (std::uint32_t id = 1; id < net.num_nodes(); ++id) {
+        if (!net.is_internal(id)) continue;
+        std::vector<AigLit> fanin_lits;
+        for (const auto f : net.fanins(id)) fanin_lits.push_back(map[f]);
+        map[id] = reference_build_truth_table_timed(aig, net.function(id), fanin_lits, levels);
+    }
+    for (std::size_t o = 0; o < net.num_pos(); ++o) {
+        const auto& po = net.po(o);
+        aig.add_po(po.complemented ? !map[po.node] : map[po.node], po.name);
+    }
+    *node_map = map;
+    return aig;
+}
+
+TruthTable random_function(int num_vars, Rng& rng) {
+    switch (rng.next_below(8)) {
+        case 0: return TruthTable::constant(num_vars, false);
+        case 1: return TruthTable::constant(num_vars, true);
+        default: break;
+    }
+    TruthTable tt(num_vars);
+    for (std::uint64_t m = 0; m < tt.num_minterms(); ++m) tt.set_bit(m, rng.next_bool());
+    return tt;
+}
+
+/// A random network: nodes of 0 up to `cut_size` fanins with random
+/// functions (constants included), some functions repeated, and
+/// complemented POs.
+Network random_network(std::size_t num_pis, std::size_t num_nodes, int cut_size, Rng& rng) {
+    Network net;
+    std::vector<std::uint32_t> signals;
+    for (std::size_t i = 0; i < num_pis; ++i) signals.push_back(net.add_pi());
+    signals.push_back(0);  // the constant node is a legal fanin too
+    std::vector<TruthTable> seen;
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+        const int k = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(cut_size) + 1));
+        std::vector<std::uint32_t> fanins;
+        for (int f = 0; f < k; ++f) fanins.push_back(signals[rng.next_below(signals.size())]);
+        TruthTable tt = random_function(k, rng);
+        for (const auto& prev : seen)  // reuse an earlier function of this arity
+            if (prev.num_vars() == k && rng.next_below(3) == 0) {
+                tt = prev;
+                break;
+            }
+        seen.push_back(tt);
+        signals.push_back(net.add_node(std::move(fanins), std::move(tt)));
+    }
+    for (int o = 0; o < 4; ++o)
+        net.add_po(signals[num_pis + 1 + rng.next_below(signals.size() - num_pis - 1)],
+                   rng.next_bool());
+    return net;
+}
+
+void expect_signatures_match_reference(const Network& net, const SimPatterns& patterns,
+                                       const std::string& label) {
+    const std::size_t num_patterns = patterns.num_patterns();
+    const auto sigs = net.simulate(patterns);
+    const std::uint64_t tail = tail_mask(num_patterns);
+    for (std::uint32_t id = 1; id < net.num_nodes(); ++id) {
+        if (!net.is_internal(id)) continue;
+        const Signature ref = reference_eval_node_signature(net, id, sigs, num_patterns);
+        ASSERT_EQ(sigs[id], ref) << label << " node " << id;
+        ASSERT_EQ(net.eval_node_signature(id, sigs, num_patterns), ref) << label << " node " << id;
+        ASSERT_EQ(sigs[id].back() & ~tail, 0u) << label << ": bits past the pattern count";
+    }
+}
+
+TEST(EvalSignatureDiff, RandomNetworksMatchReference) {
+    Rng rng(31);
+    for (int trial = 0; trial < 150; ++trial) {
+        const int cut_size = 1 + trial % 8;
+        const std::size_t num_pis = 1 + rng.next_below(10);
+        const Network net = random_network(num_pis, 1 + rng.next_below(40), cut_size, rng);
+        const std::string label = "trial " + std::to_string(trial);
+        expect_signatures_match_reference(net, SimPatterns::exhaustive(num_pis), label);
+        const std::size_t counts[] = {64, 65, 70, 127, 128, 129, 1000};
+        expect_signatures_match_reference(
+            net, SimPatterns::random(num_pis, counts[trial % 7], rng), label);
+    }
+}
+
+TEST(EvalSignatureDiff, ClusteredAddersMatchReference) {
+    Rng rng(8);
+    for (const int cut_size : {2, 4, 5, 6, 8}) {
+        const Network net = Network::from_aig(ripple_carry_adder(6), cut_size, 8);
+        expect_signatures_match_reference(net, SimPatterns::exhaustive(net.num_pis()),
+                                          "cut " + std::to_string(cut_size));
+        expect_signatures_match_reference(net, SimPatterns::random(net.num_pis(), 333, rng),
+                                          "cut " + std::to_string(cut_size));
+    }
+}
+
+void expect_to_aig_matches_reference(const Network& net, const std::string& label) {
+    std::vector<AigLit> map, ref_map;
+    const Aig aig = net.to_aig_with_map(&map);
+    const Aig ref = reference_to_aig_with_map(net, &ref_map);
+    ASSERT_EQ(aig.num_nodes(), ref.num_nodes()) << label;
+    ASSERT_EQ(aig.hash(), ref.hash()) << label;
+    ASSERT_EQ(map, ref_map) << label;
+
+    // The truth-table overload of build_truth_table_timed builds the same.
+    Aig per_node;
+    AigLevelTracker levels(per_node);
+    std::vector<AigLit> per_node_map(net.num_nodes(), AigLit::constant(false));
+    for (std::size_t i = 0; i < net.num_pis(); ++i)
+        per_node_map[net.pi(i)] = per_node.add_pi(net.pi_name(i));
+    for (std::uint32_t id = 1; id < net.num_nodes(); ++id) {
+        if (!net.is_internal(id)) continue;
+        std::vector<AigLit> fanin_lits;
+        for (const auto f : net.fanins(id)) fanin_lits.push_back(per_node_map[f]);
+        per_node_map[id] = build_truth_table_timed(per_node, net.function(id), fanin_lits, levels);
+    }
+    for (std::size_t o = 0; o < net.num_pos(); ++o) {
+        const auto& po = net.po(o);
+        per_node.add_po(po.complemented ? !per_node_map[po.node] : per_node_map[po.node],
+                        po.name);
+    }
+    ASSERT_EQ(per_node.hash(), ref.hash()) << label;
+}
+
+TEST(ToAigFormsDiff, RandomNetworksMatchPerNodeInstantiation) {
+    Rng rng(47);
+    for (int trial = 0; trial < 120; ++trial) {
+        const int cut_size = 1 + trial % 6;
+        Network net = random_network(1 + rng.next_below(8), 1 + rng.next_below(30), cut_size, rng);
+        // A duplicated cone repeats every function of the original.
+        net.duplicate_cone(net.po(0).node);
+        expect_to_aig_matches_reference(net, "trial " + std::to_string(trial));
+    }
+}
+
+TEST(ToAigFormsDiff, ClusteredAddersMatchPerNodeInstantiation) {
+    for (const int bits : {4, 8, 16}) {
+        Network net = Network::from_aig(ripple_carry_adder(bits), 5, 8);
+        net.duplicate_cone(net.po(net.num_pos() - 1).node);
+        expect_to_aig_matches_reference(net, "rca" + std::to_string(bits));
+    }
 }
 
 }  // namespace

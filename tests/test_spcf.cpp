@@ -88,5 +88,24 @@ TEST(Spcf, RandomPatternsOverapproximateShape) {
     EXPECT_TRUE(spcf.empty(0));  // sum0 is never critical
 }
 
+TEST(Spcf, OneSimulationServesEveryThreshold) {
+    // Thresholding one timing simulation gives, at every delta, exactly
+    // what a fresh compute_spcf gives; 100 patterns leave a partial word.
+    const Aig adder = ripple_carry_adder(8);
+    Rng rng(12);
+    const SimPatterns patterns = SimPatterns::random(adder.num_pis(), 100, rng);
+    const auto sigs = simulate(adder, patterns);
+    const TimingSimResult timing = spcf_timing(adder, patterns, sigs);
+    for (std::int32_t delta = 0; delta <= timing.max_arrival + 1; ++delta) {
+        const Spcf once = threshold_spcf(timing, delta);
+        const Spcf fresh = compute_spcf(adder, patterns, sigs, delta);
+        EXPECT_EQ(once.delta, fresh.delta);
+        EXPECT_EQ(once.max_arrival, fresh.max_arrival);
+        EXPECT_EQ(once.po_max_arrival, fresh.po_max_arrival);
+        EXPECT_EQ(once.po_spcf, fresh.po_spcf) << "delta " << delta;
+        for (const auto& sig : once.po_spcf) EXPECT_EQ(sig.back() >> (100 - 64), 0u);
+    }
+}
+
 }  // namespace
 }  // namespace lls

@@ -174,6 +174,17 @@ TEST(ThreadPool, AbortedParallelForCountsSkippedIndices) {
     // When an iteration throws, the remaining indices are skipped — and
     // must be accounted for, not silently dropped: a partial fan-out that
     // looks complete would corrupt any caller that trusts the range.
+    //
+    // The abort only shows if the other threads cannot drain the range
+    // between the throw at index 3 and the pool's failed flag, which is
+    // set after unwinding. So the unwinder is warmed up first (a cold
+    // first throw can take longer than the whole range), and every other
+    // index does bounded work: draining the 496 indices after index 3
+    // takes tens of milliseconds, a warm unwind microseconds.
+    try {
+        throw std::logic_error("warm-up");
+    } catch (const std::logic_error&) {
+    }
     ThreadPool pool(2);
     constexpr std::size_t kN = 500;
     std::atomic<std::size_t> completed{0}, failures{0};
@@ -183,6 +194,7 @@ TEST(ThreadPool, AbortedParallelForCountsSkippedIndices) {
                                            failures.fetch_add(1);
                                            throw std::logic_error("abort");
                                        }
+                                       std::this_thread::sleep_for(std::chrono::microseconds(200));
                                        completed.fetch_add(1);
                                    }),
                  std::logic_error);

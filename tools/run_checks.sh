@@ -2,7 +2,9 @@
 # run_checks.sh: tier-1 tests in the default configuration, a golden
 # output check (default lookahead runs and the sis/abc/dc baseline flows on
 # the regression circuits must reproduce the sha256 recorded in
-# tests/data/golden.sha256), a check that `lls_opt --map --metrics`
+# tests/data/golden.sha256), test_thread_pool repeated in four
+# concurrent copies (scheduling races need starved threads to show), a
+# check that `lls_opt --map --metrics`
 # reports the mapping timer, a check that deleted flags exit 2, a
 # budgeted determinism check of the CLI
 # (same circuit + work budget at several --jobs values must produce
@@ -38,6 +40,17 @@ echo "== stage 1: tier-1 tests (RelWithDebInfo) =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build -j "$JOBS"
 (cd build && ctest --output-on-failure -j "$JOBS")
+
+echo "== stage 1a: thread-pool tests under concurrent load =="
+# Scheduling races in test_thread_pool only show when threads are starved:
+# four concurrent copies, each repeating the suite, must all pass.
+pids=()
+for copy in 1 2 3 4; do
+    ./build/tests/test_thread_pool --gtest_repeat=200 --gtest_brief=1 > /dev/null &
+    pids+=("$!")
+done
+for pid in "${pids[@]}"; do wait "$pid"; done
+echo "4 concurrent test_thread_pool copies x 200 repeats passed"
 
 echo "== stage 1b: golden output hashes =="
 # Speed work must not change results: default (lookahead) runs and the
